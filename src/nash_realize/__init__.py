@@ -7,13 +7,13 @@ minimality verdicts, and local isomorphisms. See README.md for a tour.
 
 import os as _os
 
-_threads = _os.environ.get("NASH_REALIZE_THREADS")
-if _threads:
-    # cap BLAS/OpenMP pools before numpy's first import
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-                 "VECLIB_MAXIMUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+# cap BLAS/OpenMP pools before numpy's first import: one thread each
+# unless NASH_REALIZE_THREADS asks for more; a pool's own variable, when
+# set, wins
+_threads = _os.environ.get("NASH_REALIZE_THREADS") or "1"
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    _os.environ.setdefault(_var, _threads)
 
 __version__ = "0.1.0"
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -317,10 +318,15 @@ def estimate_trdeg(generators: Sequence, sampler: Callable[[int], np.ndarray],
 # ------------------------------------------------- response-map estimators
 
 
-def _richardson(values: dict, h: float) -> np.ndarray:
-    """4th-order central difference from values at +-h and +-2h."""
-    return (8.0 * (values[1] - values[-1]) - (values[2] - values[-2])) \
-        / (12.0 * h)
+# finite-difference nodes, in multiples of the step
+_FD_MULTS = (-2, -1, 1, 2)
+
+
+def _richardson(values: np.ndarray, h: float) -> np.ndarray:
+    """4th-order central difference from values at -2h, -h, +h, +2h
+    (axis -2)."""
+    m2, m1, p1, p2 = np.moveaxis(values, -2, 0)
+    return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
 
 
 def response_plan(alphabet: InputAlphabet, max_letters: int, depth: int,
@@ -350,6 +356,13 @@ def _perturbed(word: GeneralizedInput, slot: int, delta: float):
     durs = list(word.durations())
     durs[slot] += delta
     return word.with_durations(durs)
+
+
+def _fd_words(word: GeneralizedInput, h: float) -> list[GeneralizedInput]:
+    """word with each slot's duration moved by each _FD_MULTS step, slot
+    by slot."""
+    return [_perturbed(word, slot, mult * h)
+            for slot in range(len(word)) for mult in _FD_MULTS]
 
 
 def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
@@ -386,24 +399,16 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
     attempts = 0
     wi = 0
     response_scale = 1.0
+    row_labels = [f"p{j}|{suf_name}"
+                  for _suf, suf_name in suffixes for j in range(oracle.r)]
     while wi < len(base_words):
         base = base_words[wi]
+        fd_words = _fd_words(base, fd_step)
         try:
-            rows = []
-            row_labels = []
-            for suf, suf_name in suffixes:
-                derivs = np.zeros((k, eff.r))
-                for slot in range(k):
-                    vals = {}
-                    for mult in (-2, -1, 1, 2):
-                        w = concat(_perturbed(base, slot, mult * fd_step), suf)
-                        vals[mult] = eff.respond(w)
-                        response_scale = max(response_scale,
-                                             float(np.max(np.abs(vals[mult]))))
-                    derivs[slot] = _richardson(vals, fd_step)
-                for j in range(eff.r):
-                    rows.append(derivs[:, j])
-                    row_labels.append(f"p{j}|{suf_name}")
+            # suffix-major, as the rows: each perturbed base is integrated
+            # once, then continued along every suffix
+            vals = np.array(eff.respond_many(
+                [concat(w, suf) for suf, _ in suffixes for w in fd_words]))
         except (DomainExit, BlowUp):
             attempts += 1
             if attempts > 10 * len(base_words):
@@ -411,7 +416,10 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
             base_words[wi] = response_plan(
                 oracle.alphabet, k, depth, 1, time_budget, rng)[0][0]
             continue
-        mat = np.array(rows)
+        # (suffix, slot, mult, output) -> rows (suffix, output) over slots
+        derivs = _richardson(
+            vals.reshape(len(suffixes), k, len(_FD_MULTS), eff.r), fd_step)
+        mat = derivs.transpose(0, 2, 1).reshape(-1, k)
         if not np.all(np.isfinite(mat)):
             attempts += 1
             if attempts > 10 * len(base_words):
@@ -419,10 +427,11 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
             base_words[wi] = response_plan(
                 oracle.alphabet, k, depth, 1, time_budget, rng)[0][0]
             continue
+        response_scale = max(response_scale, float(np.max(np.abs(vals))))
         nrm = np.linalg.norm(mat, axis=1)
         keep = nrm > _ROW_FLOOR * max(nrm.max(), 1e-300)
         if nrm.max() <= _CONST_FLOOR * response_scale:
-            keep = np.zeros(len(rows), dtype=bool)
+            keep = np.zeros(len(mat), dtype=bool)
         if keep.any():
             norm_mat = mat[keep] / nrm[keep, None]
             sv = np.linalg.svd(norm_mat, compute_uv=False)
@@ -506,19 +515,15 @@ def estimate_reachable_trdeg(sys, max_letters: Optional[int] = None,
         word = diverse_word(sys.alphabet, k,
                             rng.uniform(lo, hi, size=k), rng)
         try:
-            cols = np.zeros((k, n))
-            for slot in range(k):
-                vals = {}
-                for mult in (-2, -1, 1, 2):
-                    w = _perturbed(word, slot, mult * fd_step)
-                    vals[mult] = sys.terminal_state(sys.x0, w, flow_tol)
-                cols[slot] = _richardson(vals, fd_step)
+            states = np.array(list(sys.terminal_states(
+                sys.x0, _fd_words(word, fd_step), flow_tol)))
         except (DomainExit, BlowUp):
             attempts += 1
             if attempts > 10 * count:
                 raise
             continue
-        mat = cols.T  # rows are coordinates, columns durations
+        # rows are coordinates, columns durations
+        mat = _richardson(states.reshape(k, len(_FD_MULTS), n), fd_step).T
         if not np.all(np.isfinite(mat)):
             attempts += 1
             if attempts > 10 * count:
@@ -573,23 +578,33 @@ class PolynomialRelation:
     def _pts(self, T: float, z) -> np.ndarray:
         return np.concatenate([[float(T)], np.asarray(z, dtype=float)])
 
-    def value(self, T: float, z) -> float:
+    @cached_property
+    def _exponent_matrix(self) -> np.ndarray:
+        return np.array(self.exponents, dtype=float)
+
+    def newton_terms(self, T: float, z) -> tuple[float, float, float]:
+        """(Q, sum of |c| * |monomial|, dQ/dT) at (T, z), from one power
+        of every variable in every term."""
         p = self._pts(T, z)
-        total = 0.0
-        for c, e in zip(self.coefficients, self.exponents):
-            total += c * float(np.prod(p ** np.asarray(e)))
-        return total
+        powers = p ** self._exponent_matrix
+        monos = powers.prod(axis=1).tolist()
+        # dQ/dT takes the T factor apart: e0 * T^(e0 - 1) * (the rest)
+        rests = powers[:, 1:].prod(axis=1).tolist()
+        value = d_T = 0.0
+        scale = 0
+        for c, e, m, rest in zip(self.coefficients, self.exponents, monos,
+                                 rests):
+            value += c * m
+            scale += abs(c) * abs(m)
+            if e[0]:
+                d_T += c * (e[0] * p[0] ** (e[0] - 1) * rest)
+        return value, float(scale), d_T
+
+    def value(self, T: float, z) -> float:
+        return self.newton_terms(T, z)[0]
 
     def dT(self, T: float, z) -> float:
-        p = self._pts(T, z)
-        total = 0.0
-        for c, e in zip(self.coefficients, self.exponents):
-            if e[0] == 0:
-                continue
-            mono = e[0] * p[0] ** (e[0] - 1) * float(
-                np.prod(p[1:] ** np.asarray(e[1:])))
-            total += c * mono
-        return total
+        return self.newton_terms(T, z)[2]
 
     def grad_z(self, T: float, z) -> np.ndarray:
         p = self._pts(T, z)
@@ -605,9 +620,7 @@ class PolynomialRelation:
         return out
 
     def mono_scale(self, T: float, z) -> float:
-        p = self._pts(T, z)
-        return float(sum(abs(c) * abs(np.prod(p ** np.asarray(e)))
-                         for c, e in zip(self.coefficients, self.exponents)))
+        return self.newton_terms(T, z)[1]
 
     def to_json(self) -> dict:
         return {

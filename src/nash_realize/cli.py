@@ -7,24 +7,9 @@ Exit code 0 iff the run's verdict is PASS/MINIMAL/success.
 
 from __future__ import annotations
 
-import os
-
-
-def _pin_threads():
-    # NASH_REALIZE_THREADS caps BLAS parallelism; must land before numpy
-    # is imported anywhere in the process.
-    val = os.environ.get("NASH_REALIZE_THREADS")
-    if val:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS"):
-            os.environ.setdefault(var, val)
-
-
-_pin_threads()
-
 import argparse
 import json
+import os
 import sys
 import time
 

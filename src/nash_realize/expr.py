@@ -282,6 +282,30 @@ class NashExpr:
         return " + ".join(parts)
 
 
+def stacked_evaluator(exprs: Sequence[NashExpr]):
+    """x -> np.array([e.eval_point(x) for e in exprs]), bit for bit.
+
+    Every term of every expression goes into one exponent matrix, so one
+    power-product gives all monomials; each expression then takes the dot
+    product over its own slice of them, the same sum eval_point computes.
+    """
+    parts = []      # (coefficients, slice of the stacked monomials)
+    stop = 0
+    for e in exprs:
+        coeffs = e._float_arrays[0]
+        parts.append((coeffs, slice(stop, stop + coeffs.size)))
+        stop += coeffs.size
+    exps = np.vstack([e._float_arrays[1] for e in exprs])
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            monos = np.power(x[None, :], exps).prod(axis=1)
+        return np.array([c.dot(monos[s]) if c.size else 0.0
+                         for c, s in parts])
+
+    return evaluate
+
+
 def lie_derivative(field_exprs: Sequence[NashExpr], g: NashExpr) -> NashExpr:
     """Lie derivative of g along the vector field (sum_i f_i * dg/dx_i)."""
     if len(field_exprs) != g.nvars:

@@ -262,12 +262,6 @@ class LocalIsomorphism:
         }
 
 
-def _field_values(sys, x, letter: int) -> np.ndarray:
-    if isinstance(sys, NashSystem):
-        return np.array([e.eval_point(x) for e in sys.fields[letter]])
-    return sys.field_values(x, letter)
-
-
 def construct_isomorphism(sys1, sys2, oracle: ResponseOracle,
                           epsilon: float, opts: Optional[RunConfig] = None,
                           rng=None) -> LocalIsomorphism:
@@ -475,8 +469,8 @@ def verify_isomorphism(iso: LocalIsomorphism, sys1, sys2,
                     / (2.0 * h)
             db = 0.0
             for li in range(nletters):
-                f1 = _field_values(sys1, x, li)
-                f2 = _field_values(sys2, y, li)
+                f1 = sys1.field_values(x, li)
+                f2 = sys2.field_values(y, li)
                 db = max(db, float(np.max(np.abs(jac_fd @ f1 - f2))))
             dc = float(np.max(np.abs(_readout_values(sys2, y)
                                      - _readout_values(sys1, x))))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,14 +23,14 @@ from .config import RunConfig
 from .errors import (AlphabetMismatch, BlowUp, DerivativeVanished,
                      DomainExit, FitFailure, NewtonDiverged,
                      NoValidShiftInput, NotReachableInput)
-from .expr import NashExpr, lie_derivative
+from .expr import NashExpr, lie_derivative, stacked_evaluator
 from .analysis import (FuncGenerator, PolynomialRelation, TranscendenceReport,
                        estimate_reachable_trdeg, estimate_response_trdeg,
                        estimate_trdeg, fit_relation, generate_obs_algebra,
                        monomial_count, box_sampler)
 from .inputs import GeneralizedInput, concat, sample_inputs
 from .system import (DEFAULT_FLOW_TOL, Box, NashSystem, ResponseOracle,
-                     SystemOracle, integrate_segments, shift_oracle)
+                     SystemOracle, shift_oracle, terminal_states)
 
 NEWTON_MAX_ITER = 50
 
@@ -65,13 +66,11 @@ class ImplicitMap:
         z = np.asarray(z, dtype=float)
         q = self.base_q if q0 is None else float(q0)
         for _ in range(self.max_iter):
-            val = rel.value(q, z)
+            val, scale, d = rel.newton_terms(q, z)
             if not math.isfinite(val):
                 raise NewtonDiverged("nonfinite relation value")
-            scale = max(1.0, rel.mono_scale(q, z))
-            if abs(val) <= self.newton_tol * scale:
+            if abs(val) <= self.newton_tol * max(1.0, scale):
                 return q
-            d = rel.dT(q, z)
             if abs(d) < self.derivative_floor:
                 raise DerivativeVanished(
                     f"|dQ/dT| = {abs(d):.3e} below floor at iterate")
@@ -158,9 +157,10 @@ def probe_radius(m: ImplicitMap, rng: np.random.Generator,
 class LocalRealization:
     """Base for evaluator-backed reduced systems.
 
-    Subclasses provide _rhs_session() (per-integration closures with their
-    own Newton continuation state) and readout_values. Trajectories that
-    push an implicit map off its branch surface as DomainExit.
+    Subclasses provide _rhs_session(warm) (per-integration closures whose
+    Newton continuation state lives in the dict `warm`) and
+    readout_values. Trajectories that push an implicit map off its branch
+    surface as DomainExit.
     """
 
     provenance: str
@@ -175,7 +175,7 @@ class LocalRealization:
     def n(self) -> int:
         return self.dimension
 
-    def _rhs_session(self):
+    def _rhs_session(self, warm: dict):
         raise NotImplementedError
 
     def readout_values(self, z: np.ndarray) -> np.ndarray:
@@ -183,21 +183,26 @@ class LocalRealization:
 
     def field_values(self, z, letter: int) -> np.ndarray:
         """f^V_alpha(z), one evaluation outside any integration."""
-        rhs = self._rhs_session()(letter)
+        rhs = self._rhs_session({})(letter)
         return np.asarray(rhs(0.0, np.asarray(z, dtype=float)))
+
+    def terminal_states(self, z, words: Sequence[GeneralizedInput],
+                        tol: float = DEFAULT_FLOW_TOL):
+        """Terminal state of each word from z, in order, every shared
+        prefix integrated once; each segment resumes the Newton warm
+        starts its breakpoint had in the word integrated whole."""
+        for u in words:
+            if u.alphabet != self.alphabet:
+                raise AlphabetMismatch("word alphabet differs from system")
+        box = Box.unbounded(self.dimension)
+        states = terminal_states(self._rhs_session, box.contains,
+                                 np.asarray(z, dtype=float),
+                                 [u.word for u in words], tol)
+        return _chart_exits(states)
 
     def terminal_state(self, z, u: GeneralizedInput,
                        tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
-        if u.alphabet != self.alphabet:
-            raise AlphabetMismatch("word alphabet differs from system")
-        box = Box.unbounded(self.dimension)
-        try:
-            return integrate_segments(self._rhs_session(), box.contains,
-                                      np.asarray(z, dtype=float), u.word,
-                                      tol).terminal
-        except (NewtonDiverged, DerivativeVanished) as exc:
-            raise DomainExit(
-                f"trajectory left the chart validity region: {exc}") from exc
+        return next(self.terminal_states(z, [u], tol))
 
     def respond(self, u: GeneralizedInput,
                 tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
@@ -212,6 +217,15 @@ class LocalRealization:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+def _chart_exits(states):
+    """states, with a Newton failure of the chart raised as DomainExit."""
+    try:
+        yield from states
+    except (NewtonDiverged, DerivativeVanished) as exc:
+        raise DomainExit(
+            f"trajectory left the chart validity region: {exc}") from exc
 
 
 class ReachReduced(LocalRealization):
@@ -256,16 +270,18 @@ class ReachReduced(LocalRealization):
             J[i] = m.grad(z, q=x[i])
         return J
 
-    def _rhs_session(self):
-        warm: dict = {}
-        basis = list(self.basis_idx)
+    @cached_property
+    def _basis_kernels(self) -> tuple:
+        """Per letter, the basis rows of the parent's field."""
+        return tuple(stacked_evaluator([f[i] for i in self.basis_idx])
+                     for f in self.parent.fields)
 
+    def _rhs_session(self, warm: dict):
         def rhs_for_letter(li: int):
-            exprs = self.parent.fields[li]
+            kernel = self._basis_kernels[li]
 
             def f(_t, zz):
-                x = self.lift(zz, warm)
-                return np.array([exprs[i].eval_point(x) for i in basis])
+                return kernel(self.lift(zz, warm))
 
             return f
 
@@ -315,9 +331,7 @@ class ObsReduced(LocalRealization):
         self.stages = tuple(stages)
         self.dimension = len(self.maps_f[0]) if self.maps_f else len(x0)
 
-    def _rhs_session(self):
-        warm: dict = {}
-
+    def _rhs_session(self, warm: dict):
         def rhs_for_letter(li: int):
             row = self.maps_f[li]
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (AlphabetMismatch, ArityMismatch, BlowUp, DomainExit,
                      OffGrid)
-from .expr import ALL_REAL, POSITIVE_ORTHANT, NashExpr
+from .expr import ALL_REAL, POSITIVE_ORTHANT, NashExpr, stacked_evaluator
 from .inputs import GeneralizedInput, InputAlphabet, concat
 
 DEFAULT_FLOW_TOL = 1e-10
@@ -60,8 +60,9 @@ class Box:
         return all(self.positive)
 
     def contains(self, x: np.ndarray) -> bool:
+        # the open comparisons also reject nan and +-inf
         for xi, lo, hi, pos in zip(x, self.lower, self.upper, self.positive):
-            if not (lo < xi < hi) or not np.isfinite(xi):
+            if not lo < xi < hi:
                 return False
             if pos and xi <= 0:
                 return False
@@ -129,20 +130,43 @@ class NashSystem:
     def field_for(self, letter: int) -> tuple[NashExpr, ...]:
         return self.fields[letter]
 
+    @cached_property
+    def _field_kernels(self) -> tuple:
+        return tuple(stacked_evaluator(f) for f in self.fields)
+
+    @cached_property
+    def _readout_kernel(self):
+        return stacked_evaluator(self.readout)
+
     def rhs(self, letter: int) -> Callable[[float, np.ndarray], np.ndarray]:
-        exprs = self.fields[letter]
+        kernel = self._field_kernels[letter]
 
         def f(_t, y):
-            return np.array([e.eval_point(y) for e in exprs])
+            return kernel(y)
 
         return f
 
+    def field_values(self, x: np.ndarray, letter: int) -> np.ndarray:
+        return self._field_kernels[letter](x)
+
     def readout_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([h.eval_point(x) for h in self.readout])
+        return self._readout_kernel(x)
+
+    def terminal_states(self, x: Sequence[float],
+                        words: Sequence[GeneralizedInput],
+                        tol: float = DEFAULT_FLOW_TOL) -> Iterator[np.ndarray]:
+        """Terminal state of each word from x, in order; see
+        terminal_states."""
+        for u in words:
+            if u.alphabet != self.alphabet:
+                raise AlphabetMismatch(
+                    "word alphabet differs from system alphabet")
+        return terminal_states(lambda _warm: self.rhs, self.domain.contains,
+                               x, [u.word for u in words], tol)
 
     def terminal_state(self, x: Sequence[float], u: GeneralizedInput,
                        tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
-        return flow(self, x, u, tol).terminal
+        return next(self.terminal_states(x, [u], tol))
 
     # -------------------------------------------------------------- serial
 
@@ -205,12 +229,15 @@ class Trajectory:
         return out
 
 
-def integrate_segments(rhs_for_letter, in_domain, x, word, tol):
+def integrate_segments(rhs_for_letter, in_domain, x, word, tol,
+                       on_breakpoint=None):
     """Shared segment-by-segment integrator.
 
     rhs_for_letter(i) -> f(t, y); in_domain(y) -> bool. Raises DomainExit
     when any dense-output sample leaves the domain, BlowUp on integrator
-    failure with the trajectory still inside.
+    failure with the trajectory still inside. on_breakpoint(j, x), when
+    given, sees the state x after each segment j (0-based) as it is
+    reached.
     """
     x = np.asarray(x, dtype=float)
     if not in_domain(x):
@@ -224,6 +251,8 @@ def integrate_segments(rhs_for_letter, in_domain, x, word, tol):
             segments.append((0.0, None))
             breakpoints.append(t_abs)
             states.append(tuple(x))
+            if on_breakpoint is not None:
+                on_breakpoint(len(segments) - 1, x)
             continue
         fun = rhs_for_letter(letter)
         sol = solve_ivp(fun, (0.0, dur), x,
@@ -257,8 +286,45 @@ def integrate_segments(rhs_for_letter, in_domain, x, word, tol):
         segments.append((dur, sol))
         breakpoints.append(t_abs)
         states.append(tuple(x))
+        if on_breakpoint is not None:
+            on_breakpoint(len(segments) - 1, x)
     return Trajectory(tuple(breakpoints), tuple(states),
                       tuple(segments), x)
+
+
+def terminal_states(rhs_session, in_domain, x, words, tol
+                    ) -> Iterator[np.ndarray]:
+    """Terminal state of each word from x, in order, integrating every
+    prefix the words share once.
+
+    words are (letter, duration) tuples. rhs_session(warm) -> rhs_for_letter
+    starts an integration whose right-hand sides may keep solver warm
+    starts in the dict `warm` (a symbolic system ignores it). Each
+    breakpoint state reached is cached with a copy of `warm` as it stood
+    there, and each word is integrated by one integrate_segments call from
+    the deepest cached prefix. integrate_segments restarts the integrator
+    at every breakpoint, so each state equals that of the word integrated
+    whole, bit for bit. States are yielded as they are computed, so an
+    error surfaces at the first word that meets it, as it would word by
+    word.
+    """
+    cache: dict = {}    # prefix -> (breakpoint state, warm starts there)
+    for word in words:
+        word = tuple(word)
+        depth = len(word)
+        while depth and word[:depth] not in cache:
+            depth -= 1
+        if depth and depth == len(word):
+            yield cache[word][0].copy()
+            continue
+        start, warm = cache[word[:depth]] if depth else (x, {})
+        warm = dict(warm)
+
+        def save(j, y, word=word, depth=depth, warm=warm):
+            cache[word[:depth + j + 1]] = (y, dict(warm))
+
+        yield integrate_segments(rhs_session(warm), in_domain, start,
+                                 word[depth:], tol, save).terminal.copy()
 
 
 def flow(sys: NashSystem, x: Sequence[float], u: GeneralizedInput,
@@ -292,6 +358,12 @@ class ResponseOracle:
     def respond(self, u: GeneralizedInput) -> np.ndarray:
         raise NotImplementedError
 
+    def respond_many(self, words: Sequence[GeneralizedInput]
+                     ) -> list[np.ndarray]:
+        """Responses to several words, in order; the first failing word
+        raises."""
+        return [self.respond(u) for u in words]
+
 
 class SystemOracle(ResponseOracle):
     """Response map of a simulated system. Works for symbolic systems and
@@ -306,8 +378,14 @@ class SystemOracle(ResponseOracle):
         self.r = len(sys.readout_values(self.x0))
 
     def respond(self, u: GeneralizedInput) -> np.ndarray:
-        terminal = self.system.terminal_state(self.x0, u, self.tol)
-        return self.system.readout_values(terminal)
+        return self.respond_many([u])[0]
+
+    def respond_many(self, words: Sequence[GeneralizedInput]
+                     ) -> list[np.ndarray]:
+        """Responses with every shared word prefix integrated once."""
+        sys = self.system
+        return [sys.readout_values(x)
+                for x in sys.terminal_states(self.x0, words, self.tol)]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ from nash_realize.analysis import (FuncGenerator, box_sampler,
                                    estimate_response_trdeg, estimate_trdeg,
                                    fit_relation, generate_obs_algebra,
                                    monomial_count, tabulate_response_plan)
-from nash_realize.errors import (DegenerateSamples, ExpressionBlowup,
-                                 IllConditioned)
+from nash_realize.errors import (DegenerateSamples, DomainExit,
+                                 ExpressionBlowup, IllConditioned)
 from nash_realize.expr import ALL_REAL, NashExpr
-from nash_realize.system import Box, NashSystem, SystemOracle
+from nash_realize.system import Box, NashSystem, ResponseOracle, SystemOracle
 
 LIN1 = catalog.load("SYS-LIN1")
 DIAG = catalog.load("SYS-DIAG")
@@ -309,3 +309,32 @@ def test_reachable_trdeg_catalog_values():
 def test_reachable_trdeg_labels_are_coordinates():
     rep = estimate_reachable_trdeg(DIAG, max_letters=2, count=2, seed=0)
     assert set(rep.labels) <= {"x1", "x2"}
+
+
+class _LeavesAfterLargeResponses(ResponseOracle):
+    """Its first base word answers 1e12 three times, then leaves the
+    domain; every later word answers 1e-6 times its total time."""
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+        self.r = 1
+        self.calls = 0
+
+    def respond(self, u):
+        self.calls += 1
+        if self.calls <= 3:
+            return np.array([1e12])
+        if self.calls == 4:
+            raise DomainExit("the base word left the domain")
+        return np.array([1e-6 * u.total_time])
+
+
+def test_response_scale_ignores_redrawn_base_words():
+    # the kept word's duration derivatives are all 1e-6; scaled by the
+    # dropped word's 1e12 responses they would count as constant rows
+    oracle = _LeavesAfterLargeResponses(LIN1.alphabet)
+    rep = estimate_response_trdeg(oracle, depth=1, max_letters=1, count=1,
+                                  seed=0)
+    assert oracle.calls > 4
+    assert len(rep.sample_points) == 1
+    assert rep.estimated_trdeg == 1

@@ -1,12 +1,19 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nash_realize
 from nash_realize import catalog
 from nash_realize.cli import main
+
+POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def run_cli(capsys, *argv):
@@ -184,3 +191,29 @@ def test_unknown_system_fails_cleanly(capsys):
     code, rep = run_cli(capsys, "analyze", "SYS-NOPE")
     assert code == 1
     assert rep["verdict"] == "FAIL"
+
+
+def pool_sizes_after_import(threads):
+    """The five pool variables a fresh interpreter sees after importing
+    the package, started with none of them set."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in POOL_VARS + ("NASH_REALIZE_THREADS",)}
+    if threads is not None:
+        env["NASH_REALIZE_THREADS"] = threads
+    src = str(Path(nash_realize.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import os, nash_realize; "
+            f"print(' '.join(os.environ[v] for v in {POOL_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    return out.stdout.split()
+
+
+def test_thread_pools_pinned_to_one_by_default():
+    assert pool_sizes_after_import(None) == ["1"] * len(POOL_VARS)
+
+
+def test_thread_pools_follow_nash_realize_threads():
+    assert pool_sizes_after_import("3") == ["3"] * len(POOL_VARS)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nash_realize.errors import (ArityMismatch, DomainViolation,
                                  ExactnessUnavailable)
 from nash_realize.expr import (ALL_REAL, EXACT, POSITIVE_ORTHANT, NashExpr,
-                               gradient, lie_derivative)
+                               gradient, lie_derivative, stacked_evaluator)
 
 
 def x(i, n, flag=ALL_REAL):
@@ -215,3 +215,23 @@ def test_mul_by_rational():
     e = x(0, 1) * Fraction(3, 2)
     assert e.terms == ((Fraction(3, 2), (Fraction(1),)),)
     assert (x(0, 1).scale(0)).is_zero
+
+
+def test_stacked_evaluator_matches_eval_point_bit_for_bit():
+    P = POSITIVE_ORTHANT
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    fractional = (
+        mono(2, (h, -t, 1), P) + mono(Fraction(-3, 7), (0, h, -h), P)
+        + mono(5, (t, t, t), P),
+        mono(-1, (-h, 0, 2 * t), P),
+        NashExpr.zero(3, P),
+    )
+    polynomial = (NashExpr.zero(2), x(0, 2) * x(1, 2) + mono(3, (2, 0)))
+    rng = np.random.default_rng(1)
+    for field in (fractional, polynomial, fractional[:1], fractional[2:]):
+        evaluate = stacked_evaluator(field)
+        n = field[0].nvars
+        for _ in range(200):
+            pt = np.exp(2.0 * rng.normal(size=n))
+            want = np.array([e.eval_point(pt) for e in field])
+            assert evaluate(pt).tobytes() == want.tobytes()

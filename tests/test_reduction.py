@@ -16,7 +16,8 @@ from nash_realize.reduction import (ImplicitMap, ObsReduced, ReachReduced,
                                     reachability_reduce,
                                     realization_from_json,
                                     verify_local_realization)
-from nash_realize.system import NashSystem, SystemOracle
+from nash_realize.system import (Box, NashSystem, SystemOracle,
+                                 integrate_segments)
 
 
 def rel_identity():
@@ -264,3 +265,51 @@ def test_gate_raises_on_mismatch():
         _gate(red, SystemOracle(perturbed_lin1()), RunConfig(),
               np.random.default_rng(0))
     assert err.value.report["passed"] is False
+
+
+# ------------------------------------------- prefix-sharing chart flows
+
+
+def chart_words(alphabet):
+    """Finite-difference-shaped words: a base word with each slot moved
+    both ways, alone and followed by suffixes."""
+    base = [("a0", 0.3), ("a1", 0.2)]
+    words = []
+    for suffix in ([], [("a1", 0.05)], [("a0", 0.04), ("a1", 0.03)]):
+        for slot in range(len(base)):
+            for delta in (-1e-3, 1e-3):
+                pairs = list(base)
+                pairs[slot] = (pairs[slot][0], pairs[slot][1] + delta)
+                words.append(GeneralizedInput.of(alphabet, *pairs, *suffix))
+    return words
+
+
+def hand_charts():
+    """A ReachReduced chart over SYS-BILIN with x2 = sqrt(x1), and an
+    ObsReduced chart z' = +-sqrt(z); both take several Newton steps per
+    solve, so their results depend on the warm starts."""
+    bilin = catalog.load("SYS-BILIN")
+    reach = ReachReduced(bilin, (0,), {1: ImplicitMap(rel_sqrt(), [1.0],
+                                                      1.0)},
+                         [1.0], GeneralizedInput.empty(bilin.alphabet),
+                         math.inf)
+    lin1 = catalog.load("SYS-LIN1")
+    obs = ObsReduced(lin1.alphabet, 1,
+                     [[ImplicitMap(rel_sqrt(), [1.0], 1.0)],
+                      [ImplicitMap(rel_sqrt(), [1.0], -1.0)]],
+                     [ImplicitMap(rel_identity(), [1.0], 1.0)], [1.0],
+                     GeneralizedInput.empty(lin1.alphabet), math.inf)
+    return reach, obs
+
+
+def test_chart_terminal_states_match_per_word_flows():
+    for red in hand_charts():
+        words = chart_words(red.alphabet)
+        box = Box.unbounded(red.dimension)
+        want = [integrate_segments(red._rhs_session({}), box.contains,
+                                   red.x0, w.word, 1e-10).terminal
+                for w in words]
+        got = list(red.terminal_states(red.x0, words, 1e-10))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        single = [red.terminal_state(red.x0, w, 1e-10) for w in words]
+        assert [g.tobytes() for g in single] == [w.tobytes() for w in want]

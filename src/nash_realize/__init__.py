@@ -26,16 +26,15 @@ from .errors import (NashRealizeError, DomainViolation, ExactnessUnavailable,
 from .expr import NashExpr, ALL_REAL, POSITIVE_ORTHANT, lie_derivative
 from .inputs import (InputAlphabet, GeneralizedInput, concat, reverse,
                      sample_inputs, diverse_word)
-from .system import (Box, NashSystem, Trajectory, flow, state_to_output,
-                     ResponseOracle, SystemOracle, TableFamily, TableOracle,
-                     respond, shift_oracle)
+from .system import (Box, NashSystem, Trajectory, flow, ResponseOracle,
+                     SystemOracle, TableFamily, TableOracle, shift_oracle)
 from .config import RunConfig
 from .analysis import (ObsAlgebraBasis, generate_obs_algebra,
                        TranscendenceReport, estimate_trdeg,
                        estimate_response_trdeg, estimate_reachable_trdeg,
                        tabulate_response_plan, PolynomialRelation,
                        fit_relation, box_sampler)
-from .reduction import (ImplicitMap, implicit_solve, probe_radius,
+from .reduction import (ImplicitMap, probe_radius,
                         LocalRealization, ReachReduced, ObsReduced,
                         realization_from_json, VerificationReport,
                         verify_local_realization, reachability_reduce,
@@ -56,15 +55,15 @@ __all__ = [
     "NashExpr", "ALL_REAL", "POSITIVE_ORTHANT", "lie_derivative",
     "InputAlphabet", "GeneralizedInput", "concat", "reverse",
     "sample_inputs", "diverse_word",
-    "Box", "NashSystem", "Trajectory", "flow", "state_to_output",
+    "Box", "NashSystem", "Trajectory", "flow",
     "ResponseOracle", "SystemOracle", "TableFamily", "TableOracle",
-    "respond", "shift_oracle",
+    "shift_oracle",
     "RunConfig",
     "ObsAlgebraBasis", "generate_obs_algebra", "TranscendenceReport",
     "estimate_trdeg", "estimate_response_trdeg", "estimate_reachable_trdeg",
     "tabulate_response_plan", "PolynomialRelation", "fit_relation",
     "box_sampler",
-    "ImplicitMap", "implicit_solve", "probe_radius", "LocalRealization",
+    "ImplicitMap", "probe_radius", "LocalRealization",
     "ReachReduced", "ObsReduced", "realization_from_json",
     "VerificationReport", "verify_local_realization",
     "reachability_reduce", "observability_reduce", "minimize",

@@ -20,13 +20,13 @@ from .errors import DomainExit, BlowUp
 from .expr import NashExpr, ALL_REAL, POSITIVE_ORTHANT
 from .analysis import (box_sampler, estimate_reachable_trdeg,
                        estimate_response_trdeg, estimate_trdeg,
-                       fit_relation, generate_obs_algebra)
+                       fit_relation)
 from .inputs import GeneralizedInput, concat, reverse, sample_inputs
 from .minimality import (INCONCLUSIVE, MINIMAL, NOT_MINIMAL,
                          check_minimality, construct_isomorphism,
                          verify_isomorphism)
-from .reduction import (minimize, observability_reduce, reachability_reduce,
-                        verify_local_realization)
+from .reduction import (_ObsContext, minimize, observability_reduce,
+                        reachability_reduce, verify_local_realization)
 from .system import SystemOracle, shift_oracle
 
 LIMITS = {"A1": 10.0, "A2": 30.0, "A3": 30.0, "A4": 60.0,
@@ -85,13 +85,7 @@ def _resp_trdeg(sys, cfg: RunConfig, rng, oracle=None, count=3,
 
 
 def _obs_trdeg(sys, cfg: RunConfig, rng) -> int:
-    basis = generate_obs_algebra(sys, max(cfg.depth, sys.n - 1),
-                                 cfg.max_terms)
-    rep = estimate_trdeg(basis.generators,
-                         box_sampler(sys.domain, sys.x0, 0.5, rng),
-                         count=4, rank_tol=cfg.rank_tol,
-                         gap_factor=cfg.gap_factor)
-    return rep.estimated_trdeg
+    return _ObsContext(sys, cfg).trdeg(rng).estimated_trdeg
 
 
 def run_a1(cfg: RunConfig, systems: dict) -> dict:

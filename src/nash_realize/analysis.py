@@ -146,6 +146,37 @@ def _rank_from_sv(sv: np.ndarray, rank_tol: float,
     return rank, gap, low
 
 
+@dataclass(frozen=True)
+class _RankEvidence:
+    singular_values: tuple[float, ...]
+    rank: int
+    gap: float
+    low_confidence: bool
+    pivots: tuple[int, ...]
+
+
+def _rank_evidence(mat: np.ndarray, const_floor: float, rank_tol: float,
+                   gap_factor: float) -> _RankEvidence:
+    """SVD rank of mat's rows scaled to unit norm. Rows below _ROW_FLOOR
+    of the largest are dropped, and all of them when none exceeds
+    const_floor; pivots are the greedy row basis from column-pivoted QR,
+    as indices into mat."""
+    nrm = np.linalg.norm(mat, axis=1)
+    keep = nrm > _ROW_FLOOR * max(nrm.max(), 1e-300)
+    if nrm.max() <= const_floor:
+        keep[:] = False
+    norm_mat = mat[keep] / nrm[keep, None]
+    sv = np.linalg.svd(norm_mat, compute_uv=False) if keep.any() \
+        else np.zeros(0)
+    rank, gap, low = _rank_from_sv(sv, rank_tol, gap_factor)
+    pivots: tuple[int, ...] = ()
+    if rank:
+        _q, _r, piv = scipy.linalg.qr(norm_mat.T, pivoting=True)
+        kept_idx = np.flatnonzero(keep)
+        pivots = tuple(int(kept_idx[p]) for p in piv[:rank])
+    return _RankEvidence(tuple(float(s) for s in sv), rank, gap, low, pivots)
+
+
 def _exact_rank_pivots(rows: list[list[Fraction]],
                        ncols: int) -> tuple[int, list[int]]:
     """Fraction Gaussian elimination; returns rank and pivot column order
@@ -269,10 +300,9 @@ def estimate_trdeg(generators: Sequence, sampler: Callable[[int], np.ndarray],
             gap=np.inf, low_confidence=False, method="exact-rational",
             labels=labels)
 
-    best = None  # (rank, gap, low, sv per point, winner idx, pivots)
+    best = None
     sv_evidence = []
-    any_rank = 0
-    for pi, x in enumerate(pts):
+    for x in pts:
         jac = np.zeros((len(gens), nv))
         for i, g in enumerate(gens):
             if isinstance(g, NashExpr):
@@ -282,37 +312,23 @@ def estimate_trdeg(generators: Sequence, sampler: Callable[[int], np.ndarray],
         if not np.all(np.isfinite(jac)):
             sv_evidence.append(())
             continue
-        nrm = np.linalg.norm(jac, axis=1)
-        keep = nrm > _ROW_FLOOR * max(nrm.max(), 1e-300)
-        if nrm.max() <= _CONST_FLOOR:
-            keep = np.zeros(len(gens), dtype=bool)
-        if not keep.any():
-            sv_evidence.append(())
-            continue
-        norm_jac = jac[keep] / nrm[keep, None]
-        sv = np.linalg.svd(norm_jac, compute_uv=False)
-        sv_evidence.append(tuple(float(s) for s in sv))
-        rank, gap, low = _rank_from_sv(sv, rank_tol, gap_factor)
-        any_rank = max(any_rank, rank)
-        if best is None or rank > best[0]:
-            _q, _r, pivots = scipy.linalg.qr(norm_jac.T, pivoting=True)
-            kept_idx = np.flatnonzero(keep)
-            best = (rank, gap, low, pi,
-                    tuple(int(kept_idx[p]) for p in pivots[:rank]))
-    nonconstant = any(
-        (not g.is_constant) if isinstance(g, FuncGenerator)
-        else not g.is_constant for g in gens)
-    if any_rank == 0 and nonconstant:
+        ev = _rank_evidence(jac, _CONST_FLOOR, rank_tol, gap_factor)
+        sv_evidence.append(ev.singular_values)
+        if ev.singular_values and (best is None or ev.rank > best.rank):
+            best = ev
+    if best is None:
+        # the evidence of a point where no row counts
+        best = _rank_evidence(np.zeros((1, nv)), _CONST_FLOOR, rank_tol,
+                              gap_factor)
+    if best.rank == 0 and any(not g.is_constant for g in gens):
         raise DegenerateSamples(
             "all sample points give rank 0 for nonconstant generators")
-    if best is None:
-        best = (0, np.inf, rank_tol < _NOISE_FLOOR_TOL, 0, ())
-    rank, gap, low, _pi, pivots = best
     return TranscendenceReport(
-        estimated_trdeg=rank, rank_tolerance=rank_tol,
-        basis_indices=pivots, singular_values=tuple(sv_evidence),
+        estimated_trdeg=best.rank, rank_tolerance=rank_tol,
+        basis_indices=best.pivots, singular_values=tuple(sv_evidence),
         sample_points=tuple(tuple(float(v) for v in p) for p in pts),
-        gap=gap, low_confidence=low, method="float-svd", labels=labels)
+        gap=best.gap, low_confidence=best.low_confidence,
+        method="float-svd", labels=labels)
 
 
 # ------------------------------------------------- response-map estimators
@@ -381,8 +397,7 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
     extended by short suffix words (the derivative generators); the rank of
     the per-word Jacobian, maximized over words, is the estimate.
     """
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if max_letters is None:
         sys = getattr(oracle, "system", None)
         max_letters = sys.n if sys is not None else 2
@@ -395,7 +410,7 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
 
     words_done = []
     sv_evidence = []
-    best = None  # (rank, gap, low, pivots, labels)
+    best = None
     attempts = 0
     wi = 0
     response_scale = 1.0
@@ -428,35 +443,19 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
                 oracle.alphabet, k, depth, 1, time_budget, rng)[0][0]
             continue
         response_scale = max(response_scale, float(np.max(np.abs(vals))))
-        nrm = np.linalg.norm(mat, axis=1)
-        keep = nrm > _ROW_FLOOR * max(nrm.max(), 1e-300)
-        if nrm.max() <= _CONST_FLOOR * response_scale:
-            keep = np.zeros(len(mat), dtype=bool)
-        if keep.any():
-            norm_mat = mat[keep] / nrm[keep, None]
-            sv = np.linalg.svd(norm_mat, compute_uv=False)
-            rank, gap, low = _rank_from_sv(sv, rank_tol, gap_factor)
-        else:
-            sv = np.zeros(0)
-            rank, gap, low = 0, np.inf, rank_tol < _NOISE_FLOOR_TOL
-        sv_evidence.append(tuple(float(s) for s in sv))
+        ev = _rank_evidence(mat, _CONST_FLOOR * response_scale, rank_tol,
+                            gap_factor)
+        sv_evidence.append(ev.singular_values)
         words_done.append(tuple(base.to_json()))
-        if best is None or rank > best[0]:
-            if keep.any():
-                _q, _r, pivots = scipy.linalg.qr(norm_mat.T, pivoting=True)
-                kept_idx = np.flatnonzero(keep)
-                piv = tuple(int(kept_idx[p]) for p in pivots[:rank])
-            else:
-                piv = ()
-            best = (rank, gap, low, piv,
-                    tuple(row_labels[p] for p in piv))
+        if best is None or ev.rank > best.rank:
+            best = ev
         wi += 1
-    rank, gap, low, pivots, labels = best
     return TranscendenceReport(
-        estimated_trdeg=rank, rank_tolerance=rank_tol,
-        basis_indices=pivots, singular_values=tuple(sv_evidence),
-        sample_points=tuple(words_done), gap=gap, low_confidence=low,
-        method="response-fd", labels=labels)
+        estimated_trdeg=best.rank, rank_tolerance=rank_tol,
+        basis_indices=best.pivots, singular_values=tuple(sv_evidence),
+        sample_points=tuple(words_done), gap=best.gap,
+        low_confidence=best.low_confidence, method="response-fd",
+        labels=tuple(row_labels[p] for p in best.pivots))
 
 
 def tabulate_response_plan(oracle: ResponseOracle, depth: int = 2,
@@ -470,8 +469,7 @@ def tabulate_response_plan(oracle: ResponseOracle, depth: int = 2,
     singletons, so the estimator hits stored values and never interpolates.
     """
     from .system import TableOracle
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     base_words, suffixes = response_plan(oracle.alphabet, max_letters,
                                          depth, count, time_budget, rng)
     plans = []
@@ -500,8 +498,7 @@ def estimate_reachable_trdeg(sys, max_letters: Optional[int] = None,
     set: the generic rank of the terminal state's Jacobian with respect to
     switching durations. Equals dim X exactly when the system is
     semi-algebraically reachable."""
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = sys.n
     k = max_letters if max_letters is not None else n
     lo, hi = 0.1 * time_budget / k, 0.5 * time_budget / k
@@ -529,34 +526,17 @@ def estimate_reachable_trdeg(sys, max_letters: Optional[int] = None,
             if attempts > 10 * count:
                 raise BlowUp("nonfinite states while estimating trdeg")
             continue
-        nrm = np.linalg.norm(mat, axis=1)
-        keep = nrm > _ROW_FLOOR * max(nrm.max(), 1e-300)
-        if nrm.max() <= _CONST_FLOOR:
-            keep = np.zeros(n, dtype=bool)
-        if keep.any():
-            norm_mat = mat[keep] / nrm[keep, None]
-            sv = np.linalg.svd(norm_mat, compute_uv=False)
-            rank, gap, low = _rank_from_sv(sv, rank_tol, gap_factor)
-        else:
-            sv = np.zeros(0)
-            rank, gap, low = 0, np.inf, rank_tol < _NOISE_FLOOR_TOL
-        sv_evidence.append(tuple(float(s) for s in sv))
+        ev = _rank_evidence(mat, _CONST_FLOOR, rank_tol, gap_factor)
+        sv_evidence.append(ev.singular_values)
         words_done.append(tuple(word.to_json()))
-        if best is None or rank > best[0]:
-            if keep.any():
-                _q, _r, pivots = scipy.linalg.qr(norm_mat.T, pivoting=True)
-                kept_idx = np.flatnonzero(keep)
-                piv = tuple(int(kept_idx[p]) for p in pivots[:rank])
-            else:
-                piv = ()
-            best = (rank, gap, low, piv)
+        if best is None or ev.rank > best.rank:
+            best = ev
         done += 1
-    rank, gap, low, pivots = best
     return TranscendenceReport(
-        estimated_trdeg=rank, rank_tolerance=rank_tol,
-        basis_indices=pivots, singular_values=tuple(sv_evidence),
-        sample_points=tuple(words_done), gap=gap, low_confidence=low,
-        method="reachable-fd",
+        estimated_trdeg=best.rank, rank_tolerance=rank_tol,
+        basis_indices=best.pivots, singular_values=tuple(sv_evidence),
+        sample_points=tuple(words_done), gap=best.gap,
+        low_confidence=best.low_confidence, method="reachable-fd",
         labels=tuple(f"x{i + 1}" for i in range(n)))
 
 
@@ -689,8 +669,7 @@ def fit_relation(target_vals: Sequence[float], basis_vals,
     With several candidates at the minimal degrees, the one maximizing
     |dQ/dT| at tie_break_point wins (alternates are attached).
     """
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     t = np.asarray(target_vals, dtype=float)
     B = np.atleast_2d(np.asarray(basis_vals, dtype=float))
     if B.shape[0] != t.size:

@@ -156,9 +156,3 @@ def load(name: str) -> NashSystem:
     with ref.open("r", encoding="utf-8") as fh:
         return NashSystem.from_json(json.load(fh))
 
-
-def data_path(name: str) -> str:
-    """Filesystem path of a shipped catalog file (for CLI invocation)."""
-    ref = resources.files("nash_realize").joinpath(
-        "catalog_data", f"{name}.json")
-    return str(ref)

@@ -16,16 +16,15 @@ import time
 import numpy as np
 
 from . import __version__, catalog
-from .analysis import (box_sampler, estimate_reachable_trdeg,
-                       estimate_response_trdeg, estimate_trdeg,
-                       generate_obs_algebra)
+from .analysis import estimate_reachable_trdeg, estimate_response_trdeg
 from .config import RunConfig
 from .errors import NashRealizeError
 from .inputs import GeneralizedInput
 from .minimality import (check_minimality, construct_isomorphism,
                          verify_isomorphism)
-from .reduction import (minimize, observability_reduce, reachability_reduce,
-                        resymbolize, verify_local_realization)
+from .reduction import (_ObsContext, minimize, observability_reduce,
+                        reachability_reduce, resymbolize,
+                        verify_local_realization)
 from .system import NashSystem, SystemOracle, flow
 
 _TOL_FLAGS = (
@@ -108,11 +107,8 @@ def cmd_analyze(args, cfg: RunConfig):
         sys_, max_letters=sys_.n, count=4, fd_step=cfg.fd_step,
         rank_tol=cfg.rank_tol, seed=rng, time_budget=cfg.budget,
         flow_tol=cfg.fd_flow_tol, gap_factor=cfg.gap_factor)
-    basis = generate_obs_algebra(sys_, cfg.depth, cfg.max_terms)
-    obs = estimate_trdeg(basis.generators,
-                         box_sampler(sys_.domain, sys_.x0, 0.5, rng),
-                         count=4, rank_tol=cfg.rank_tol,
-                         gap_factor=cfg.gap_factor)
+    ctx = _ObsContext(sys_, cfg)
+    obs = ctx.trdeg(rng)
     resp = estimate_response_trdeg(
         oracle, depth=cfg.depth, max_letters=sys_.n, count=3,
         fd_step=cfg.fd_step, rank_tol=cfg.rank_tol, seed=rng,
@@ -125,7 +121,7 @@ def cmd_analyze(args, cfg: RunConfig):
         "observable": obs.estimated_trdeg == sys_.n,
         "obs_trdeg": obs.to_json(),
         "response_trdeg": resp.to_json(),
-        "obs_algebra_size": len(basis.generators),
+        "obs_algebra_size": len(ctx.generators),
         "verdict": "success",
     }
     return payload, True

@@ -322,6 +322,3 @@ def lie_derivative(field_exprs: Sequence[NashExpr], g: NashExpr) -> NashExpr:
         total = total + f * dg
     return total
 
-
-def gradient(g: NashExpr) -> tuple[NashExpr, ...]:
-    return g.gradient()

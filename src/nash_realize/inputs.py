@@ -143,8 +143,7 @@ def sample_inputs(alphabet: InputAlphabet, max_letters: int,
         raise ValueError("time budget must be positive")
     if max_letters < 1:
         raise ValueError("max_letters must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cap = time_budget / max_letters
     out = []
     for _ in range(count):

@@ -21,15 +21,10 @@ import numpy as np
 from .config import RunConfig
 from .errors import (BlowUp, DerivativeVanished, DimensionMismatch,
                      DomainExit, DomainViolation, FitFailure,
-                     NashRealizeError, NewtonDiverged, NoValidShiftInput,
-                     NotBijective)
-from .analysis import (estimate_reachable_trdeg, estimate_response_trdeg,
-                       estimate_trdeg, fit_relation, generate_obs_algebra,
-                       box_sampler)
+                     NashRealizeError, NewtonDiverged, NotBijective)
+from .analysis import estimate_reachable_trdeg, estimate_response_trdeg
 from .inputs import GeneralizedInput, sample_inputs
-from .reduction import (ImplicitMap, PolynomialRelation, _fit_sample_count,
-                        _pick_nondegenerate, _sample_shift_word,
-                        probe_radius)
+from .reduction import ReachReduced, _build_chart, _ObsContext
 from .system import NashSystem, ResponseOracle, SystemOracle
 
 MINIMAL = "MINIMAL"
@@ -98,8 +93,7 @@ def check_minimality(sys, oracle: ResponseOracle,
     can run; reachability and observability are reported NOT_EVALUATED.
     """
     opts = opts if opts is not None else RunConfig()
-    rng = rng if isinstance(rng, np.random.Generator) \
-        else np.random.default_rng(opts.seed if rng is None else rng)
+    rng = np.random.default_rng(opts.seed if rng is None else rng)
     n = sys.n
     witnesses: dict = {}
 
@@ -137,20 +131,8 @@ def check_minimality(sys, oracle: ResponseOracle,
             sys, max_letters=n, count=4, fd_step=opts.fd_step,
             rank_tol=opts.rank_tol, seed=rng, time_budget=opts.budget,
             flow_tol=opts.fd_flow_tol, gap_factor=opts.gap_factor)
-        from .reduction import ReachReduced, _ComposedObsCtx
-        if isinstance(sys, NashSystem):
-            depth = max(opts.depth, n - 1)
-            basis = generate_obs_algebra(sys, depth, opts.max_terms)
-            obs = estimate_trdeg(
-                basis.generators, box_sampler(sys.domain, sys.x0, 0.5, rng),
-                count=4, rank_tol=opts.rank_tol, gap_factor=opts.gap_factor)
-            obs_val, obs_low = obs.estimated_trdeg, obs.low_confidence
-            obs_rep = obs.to_json()
-        elif isinstance(sys, ReachReduced):
-            ctx = _ComposedObsCtx(sys, opts)
-            obs = estimate_trdeg(ctx.rank_generators(), ctx.sampler(rng),
-                                 count=4, rank_tol=opts.rank_tol,
-                                 gap_factor=opts.gap_factor)
+        if isinstance(sys, (NashSystem, ReachReduced)):
+            obs = _ObsContext(sys, opts).trdeg(rng)
             obs_val, obs_low = obs.estimated_trdeg, obs.low_confidence
             obs_rep = obs.to_json()
         else:
@@ -268,8 +250,7 @@ def construct_isomorphism(sys1, sys2, oracle: ResponseOracle,
     """Local state-space isomorphism between two minimal realizations of
     the same response map, built from shared reachable samples."""
     opts = opts if opts is not None else RunConfig()
-    rng = rng if isinstance(rng, np.random.Generator) \
-        else np.random.default_rng(opts.seed if rng is None else rng)
+    rng = np.random.default_rng(opts.seed if rng is None else rng)
     if sys1.n != sys2.n:
         raise DimensionMismatch(
             f"dimensions differ: {sys1.n} vs {sys2.n}")
@@ -282,90 +263,44 @@ def construct_isomorphism(sys1, sys2, oracle: ResponseOracle,
                 f"({verdict.verdict}); isomorphism construction requires "
                 f"minimal realizations")
 
-    # shared reachable samples: words admissible for both systems
-    S = _fit_sample_count(n, opts.degree_bound)
-    pts1, pts2 = [], []
-    attempts = 0
-    while len(pts1) < S:
-        w = sample_inputs(sys1.alphabet, max(1, n), opts.budget, 1, rng)[0]
-        attempts += 1
-        if attempts > 20 * S:
-            raise FitFailure("could not collect shared reachable samples")
-        try:
-            a = sys1.terminal_state(sys1.x0, w, opts.flow_tol)
-            b = sys2.terminal_state(sys2.x0, w, opts.flow_tol)
-        except (DomainExit, BlowUp):
-            continue
-        pts1.append(a)
-        pts2.append(b)
-    X1, X2 = np.array(pts1), np.array(pts2)
+    def sample_targets(S):
+        # shared reachable samples: words admissible for both systems
+        pts1, pts2 = [], []
+        attempts = 0
+        while len(pts1) < S:
+            w = sample_inputs(sys1.alphabet, max(1, n), opts.budget, 1,
+                              rng)[0]
+            attempts += 1
+            if attempts > 20 * S:
+                raise FitFailure("could not collect shared reachable "
+                                 "samples")
+            try:
+                a = sys1.terminal_state(sys1.x0, w, opts.flow_tol)
+                b = sys2.terminal_state(sys2.x0, w, opts.flow_tol)
+            except (DomainExit, BlowUp):
+                continue
+            pts1.append(a)
+            pts2.append(b)
+        X1, X2 = np.array(pts1), np.array(pts2)
+        # per coordinate: the second system's over the first, then back
+        return [target for j in range(n) for target in (
+            (X2[:, j], X1, f"coordinate {j + 1} of the second system "
+             f"admits no relation over the first within degree "
+             f"{opts.degree_bound}", None),
+            (X1[:, j], X2, f"coordinate {j + 1} of the first system "
+             f"admits no relation over the second within degree "
+             f"{opts.degree_bound}", None))]
 
-    rel_q: list[PolynomialRelation] = []
-    rel_r: list[PolynomialRelation] = []
-    for j in range(n):
-        q = fit_relation(X2[:, j], X1, opts.degree_bound, opts.fit_tol,
-                         seed=rng)
-        if q is None:
-            raise FitFailure(
-                f"coordinate {j + 1} of the second system admits no "
-                f"relation over the first within degree {opts.degree_bound}")
-        rel_q.append(q)
-        r = fit_relation(X1[:, j], X2, opts.degree_bound, opts.fit_tol,
-                         seed=rng)
-        if r is None:
-            raise FitFailure(
-                f"coordinate {j + 1} of the first system admits no "
-                f"relation over the second within degree "
-                f"{opts.degree_bound}")
-        rel_r.append(r)
+    def at_shift(u):
+        a = sys1.terminal_state(sys1.x0, u, opts.flow_tol)
+        b = sys2.terminal_state(sys2.x0, u, opts.flow_tol)
+        return (a, b), [p for j in range(n) for p in ((b[j], a), (a[j], b))]
 
-    shift = None
-    chosen_q = chosen_r = None
-    worst = None
-    for _ in range(10 * max(1, n)):
-        u = _sample_shift_word(sys1.alphabet, n, epsilon, rng)
-        try:
-            a = sys1.terminal_state(sys1.x0, u, opts.flow_tol)
-            b = sys2.terminal_state(sys2.x0, u, opts.flow_tol)
-        except (DomainExit, BlowUp):
-            continue
-        ok = True
-        tq, tr = [], []
-        for j in range(n):
-            pick = _pick_nondegenerate(rel_q[j], b[j], a,
-                                       opts.derivative_floor)
-            if pick is None:
-                ok, worst = False, rel_q[j]
-                break
-            tq.append(pick)
-            pick = _pick_nondegenerate(rel_r[j], a[j], b,
-                                       opts.derivative_floor)
-            if pick is None:
-                ok, worst = False, rel_r[j]
-                break
-            tr.append(pick)
-        if ok:
-            shift, chosen_q, chosen_r = u, tq, tr
-            base1, base2 = a, b
-            break
-    if shift is None:
-        raise NoValidShiftInput(
-            "no shift input made the isomorphism relations nondegenerate",
-            relation=None if worst is None else worst.to_json())
-
-    radius = math.inf
-    xi1, xi2 = [], []
-    for j in range(n):
-        m = ImplicitMap(chosen_q[j], base1, base2[j],
-                        newton_tol=opts.newton_tol,
-                        derivative_floor=opts.derivative_floor)
-        radius = min(radius, probe_radius(m, rng, opts.probe_rays))
-        xi1.append(m)
-        m = ImplicitMap(chosen_r[j], base2, base1[j],
-                        newton_tol=opts.newton_tol,
-                        derivative_floor=opts.derivative_floor)
-        radius = min(radius, probe_radius(m, rng, opts.probe_rays))
-        xi2.append(m)
+    shift, (base1, base2), maps, radius = _build_chart(
+        sys1, n, sample_targets, at_shift, epsilon, opts, rng,
+        failure="no shift input made the isomorphism relations "
+                "nondegenerate")
+    xi1, xi2 = maps[0::2], maps[1::2]
 
     iso = LocalIsomorphism(tuple(xi1), tuple(xi2), base1, base2, shift,
                            radius, np.eye(n), 0.0, 0.0, 0.0)
@@ -430,10 +365,6 @@ class IsomorphismReport:
         }
 
 
-def _readout_values(sys, x) -> np.ndarray:
-    return sys.readout_values(np.asarray(x, dtype=float))
-
-
 def verify_isomorphism(iso: LocalIsomorphism, sys1, sys2,
                        trials: int = 100, tol: float = 1e-6,
                        opts: Optional[RunConfig] = None,
@@ -443,8 +374,7 @@ def verify_isomorphism(iso: LocalIsomorphism, sys1, sys2,
     intertwining through the finite-difference Jacobian, readout match,
     and trajectory intertwining over random words."""
     opts = opts if opts is not None else RunConfig()
-    rng = rng if isinstance(rng, np.random.Generator) \
-        else np.random.default_rng(opts.seed if rng is None else rng)
+    rng = np.random.default_rng(opts.seed if rng is None else rng)
     n = iso.n
     rho = 0.25 * (1.0 + float(np.linalg.norm(iso.base1)))
     if math.isfinite(iso.radius):
@@ -472,8 +402,8 @@ def verify_isomorphism(iso: LocalIsomorphism, sys1, sys2,
                 f1 = sys1.field_values(x, li)
                 f2 = sys2.field_values(y, li)
                 db = max(db, float(np.max(np.abs(jac_fd @ f1 - f2))))
-            dc = float(np.max(np.abs(_readout_values(sys2, y)
-                                     - _readout_values(sys1, x))))
+            dc = float(np.max(np.abs(sys2.readout_values(y)
+                                     - sys1.readout_values(x))))
         except (NewtonDiverged, DerivativeVanished, DomainViolation,
                 DomainExit):
             skipped += 1

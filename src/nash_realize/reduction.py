@@ -23,7 +23,7 @@ from .config import RunConfig
 from .errors import (AlphabetMismatch, BlowUp, DerivativeVanished,
                      DomainExit, FitFailure, NewtonDiverged,
                      NoValidShiftInput, NotReachableInput)
-from .expr import NashExpr, lie_derivative, stacked_evaluator
+from .expr import lie_derivative, stacked_evaluator
 from .analysis import (FuncGenerator, PolynomialRelation, TranscendenceReport,
                        estimate_reachable_trdeg, estimate_response_trdeg,
                        estimate_trdeg, fit_relation, generate_obs_algebra,
@@ -111,12 +111,6 @@ class ImplicitMap:
         r = data.get("validity_radius")
         m.validity_radius = math.inf if r is None else float(r)
         return m
-
-
-def implicit_solve(m: ImplicitMap, z) -> float:
-    """Solve Q(T, z) = 0 for T on the map's branch (continuation warm
-    starts are supplied by trajectory integrators via solve's q0)."""
-    return m.solve(z)
 
 
 def probe_radius(m: ImplicitMap, rng: np.random.Generator,
@@ -431,8 +425,7 @@ def verify_local_realization(red: LocalRealization, oracle: ResponseOracle,
     """Compare the reduced system's response against the shifted oracle on
     random words. Words inadmissible on either side are skipped and
     replaced (they are data, not failures)."""
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     shifted = shift_oracle(oracle, red.shift_input)
     words = [GeneralizedInput.empty(red.alphabet)]
     words += sample_inputs(red.alphabet, max_letters, time_budget,
@@ -494,6 +487,58 @@ def _pick_nondegenerate(rel: PolynomialRelation, q: float, z: np.ndarray,
     return best
 
 
+def _build_chart(sys_like, nbasis: int, sample_targets, at_shift,
+                 epsilon: float, opts: RunConfig, rng: np.random.Generator,
+                 failure: str = "no shift input within epsilon made all "
+                                "implicit derivatives nondegenerate"):
+    """The step both reductions and the isomorphism share: fit a relation
+    Q(T, z) = 0 for each target over the basis, draw shift words within
+    epsilon until every relation (or an alternate of the same degree) has
+    |dQ/dT| above the floor at the shifted point, and pin one implicit map
+    per target there.
+
+    sample_targets(S) gives, from S samples, one (values, basis values,
+    message, report) per target, in order; a target that admits no
+    relation raises FitFailure(message, report). at_shift(u) gives
+    (state, [(q, z) per target]) after the shift word u and may raise
+    DomainExit or BlowUp. Returns the shift word, its state, the maps in
+    target order and their smallest validity radius.
+    """
+    relations = []
+    for values, basis, message, report in sample_targets(
+            _fit_sample_count(nbasis, opts.degree_bound)):
+        rel = fit_relation(values, basis, opts.degree_bound, opts.fit_tol,
+                           seed=rng)
+        if rel is None:
+            raise FitFailure(message, report=report)
+        relations.append(rel)
+    worst = None
+    for _ in range(10 * max(1, sys_like.n)):
+        u = _sample_shift_word(sys_like.alphabet, sys_like.n, epsilon, rng)
+        try:
+            state, points = at_shift(u)
+        except (DomainExit, BlowUp):
+            continue
+        picks = []
+        for rel, (q, z) in zip(relations, points):
+            pick = _pick_nondegenerate(rel, q, z, opts.derivative_floor)
+            if pick is None:
+                worst = rel
+                break
+            picks.append(pick)
+        else:
+            break
+    else:
+        raise NoValidShiftInput(
+            failure, relation=None if worst is None else worst.to_json())
+    maps = [ImplicitMap(rel, z, q, newton_tol=opts.newton_tol,
+                        derivative_floor=opts.derivative_floor)
+            for rel, (q, z) in zip(picks, points)]
+    radius = min([math.inf] + [probe_radius(m, rng, opts.probe_rays)
+                               for m in maps])
+    return u, state, maps, radius
+
+
 def _gate(red: LocalRealization, oracle: ResponseOracle, opts: RunConfig,
           rng: np.random.Generator) -> None:
     rep = verify_local_realization(
@@ -536,8 +581,7 @@ def reachability_reduce(sys: NashSystem, oracle: ResponseOracle,
     opts = opts if opts is not None else RunConfig()
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    rng = rng if isinstance(rng, np.random.Generator) \
-        else np.random.default_rng(opts.seed if rng is None else rng)
+    rng = np.random.default_rng(opts.seed if rng is None else rng)
 
     reach = estimate_reachable_trdeg(
         sys, max_letters=sys.n, count=4, fd_step=opts.fd_step,
@@ -550,60 +594,26 @@ def reachability_reduce(sys: NashSystem, oracle: ResponseOracle,
     basis_idx = tuple(sorted(reach.basis_indices))
     nonbasis = [i for i in range(sys.n) if i not in basis_idx]
 
-    relations: dict[int, PolynomialRelation] = {}
-    if nonbasis:
-        S = _fit_sample_count(d, opts.degree_bound)
+    def sample_targets(S):
+        if not nonbasis:
+            return []
         states = _sample_reachable_states(sys, S, opts, rng)
         B = states[:, list(basis_idx)]
-        for i in nonbasis:
-            rel = fit_relation(states[:, i], B, opts.degree_bound,
-                               opts.fit_tol, seed=rng)
-            if rel is None:
-                raise FitFailure(
-                    f"coordinate x{i + 1} admits no relation over the "
-                    f"basis within degree {opts.degree_bound}",
-                    report={"coordinate": i,
-                            "degree_bound": opts.degree_bound})
-            relations[i] = rel
+        return [(states[:, i], B,
+                 f"coordinate x{i + 1} admits no relation over the basis "
+                 f"within degree {opts.degree_bound}",
+                 {"coordinate": i, "degree_bound": opts.degree_bound})
+                for i in nonbasis]
 
-    chosen: dict[int, PolynomialRelation] = {}
-    shift = xbar = None
-    worst = None
-    for _ in range(10 * max(1, sys.n)):
-        u = _sample_shift_word(sys.alphabet, sys.n, epsilon, rng)
-        try:
-            x = sys.terminal_state(sys.x0, u, opts.flow_tol)
-        except (DomainExit, BlowUp):
-            continue
+    def at_shift(u):
+        x = sys.terminal_state(sys.x0, u, opts.flow_tol)
         z = x[list(basis_idx)]
-        trial: dict[int, PolynomialRelation] = {}
-        ok = True
-        for i, rel in relations.items():
-            pick = _pick_nondegenerate(rel, x[i], z, opts.derivative_floor)
-            if pick is None:
-                ok = False
-                worst = rel
-                break
-            trial[i] = pick
-        if ok:
-            shift, xbar, chosen = u, x, trial
-            break
-    if shift is None:
-        raise NoValidShiftInput(
-            "no shift input within epsilon made all implicit derivatives "
-            "nondegenerate",
-            relation=None if worst is None else worst.to_json())
+        return z, [(x[i], z) for i in nonbasis]
 
-    zbar = xbar[list(basis_idx)]
-    maps: dict[int, ImplicitMap] = {}
-    radius = math.inf
-    for i, rel in chosen.items():
-        m = ImplicitMap(rel, zbar, xbar[i], newton_tol=opts.newton_tol,
-                        derivative_floor=opts.derivative_floor)
-        radius = min(radius, probe_radius(m, rng, opts.probe_rays))
-        maps[i] = m
-
-    red = ReachReduced(sys, basis_idx, maps, zbar, shift, radius)
+    shift, zbar, maps, radius = _build_chart(sys, d, sample_targets,
+                                             at_shift, epsilon, opts, rng)
+    red = ReachReduced(sys, basis_idx, dict(zip(nonbasis, maps)), zbar,
+                       shift, radius)
 
     post = estimate_reachable_trdeg(
         red, max_letters=d, count=4, fd_step=opts.fd_step,
@@ -620,70 +630,24 @@ def reachability_reduce(sys: NashSystem, oracle: ResponseOracle,
 # -------------------------------------------------------------- procedure 2
 
 
-class _SymbolicObsCtx:
-    """Observation-algebra access for a symbolic system."""
-
-    def __init__(self, sys: NashSystem, opts: RunConfig):
-        self.sys = sys
-        depth = max(opts.depth, sys.n - 1)
-        self.basis = generate_obs_algebra(sys, depth, opts.max_terms)
-        self.generators = self.basis.generators
-        self._lie_cache: dict = {}
-
-    @property
-    def state_dim(self) -> int:
-        return self.sys.n
-
-    @property
-    def base_state(self) -> np.ndarray:
-        return np.asarray(self.sys.x0, dtype=float)
-
-    def sampler(self, rng):
-        return box_sampler(self.sys.domain, self.sys.x0, 0.5, rng)
-
-    def lift(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(state, dtype=float)
-
-    def rank_generators(self):
-        return self.generators
-
-    def lie_expr(self, li: int, g: NashExpr) -> NashExpr:
-        key = (li, g)
-        if key not in self._lie_cache:
-            self._lie_cache[key] = lie_derivative(self.sys.fields[li], g)
-        return self._lie_cache[key]
-
-    def readout_exprs(self):
-        return self.sys.readout
-
-    def terminal(self, u, tol):
-        return self.sys.terminal_state(self.sys.x0, u, tol)
-
-
-class _ComposedObsCtx:
-    """Observation-algebra access for a chart-reduced system, using the
+class _ObsContext:
+    """Observation-algebra access for a symbolic system (chart None) or a
+    chart-reduced one. A chart works through its parent's algebra, by the
     identity (Lie derivative along the reduced field of g composed with
     the chart) = (Lie derivative of g) composed with the chart."""
 
-    def __init__(self, red: ReachReduced, opts: RunConfig):
-        self.red = red
-        parent = red.parent
-        depth = max(opts.depth, parent.n - 1)
-        self.basis = generate_obs_algebra(parent, depth, opts.max_terms)
-        self.generators = self.basis.generators
-        self._lie_cache: dict = {}
-        self._grad_cache: dict = {}
-
-    @property
-    def state_dim(self) -> int:
-        return self.red.dimension
-
-    @property
-    def base_state(self) -> np.ndarray:
-        return self.red.x0
+    def __init__(self, sys_like, opts: RunConfig):
+        self.chart = None if isinstance(sys_like, NashSystem) else sys_like
+        self.sys = sys_like if self.chart is None else sys_like.parent
+        self.opts = opts
+        depth = max(opts.depth, self.sys.n - 1)
+        self.generators = generate_obs_algebra(self.sys, depth,
+                                               opts.max_terms).generators
 
     def sampler(self, rng):
-        red = self.red
+        red = self.chart
+        if red is None:
+            return box_sampler(self.sys.domain, self.sys.x0, 0.5, rng)
         rho = 0.3 * (1.0 + float(np.linalg.norm(red.x0)))
         if math.isfinite(red.radius):
             rho = min(rho, 0.49 * red.radius)
@@ -706,24 +670,24 @@ class _ComposedObsCtx:
 
         return sample
 
-    def lift(self, state: np.ndarray) -> np.ndarray:
-        return self.red.lift(np.asarray(state, dtype=float))
-
-    def _grads(self, g: NashExpr):
-        if g not in self._grad_cache:
-            self._grad_cache[g] = g.gradient()
-        return self._grad_cache[g]
+    def lift(self, state) -> np.ndarray:
+        state = np.asarray(state, dtype=float)
+        return state if self.chart is None else self.chart.lift(state)
 
     def rank_generators(self):
-        red = self.red
+        """The generators themselves, so polynomial ones keep the exact
+        rank; on a chart, each composed with the chart map."""
+        red = self.chart
+        if red is None:
+            return self.generators
         out = []
         for g in self.generators:
-            grads = self._grads(g)
+            grads = g.gradient()
 
             def val(z, g=g):
                 return g.eval_point(red.lift(z))
 
-            def grad(z, g=g, grads=grads):
+            def grad(z, grads=grads):
                 x = red.lift(z)
                 gx = np.array([dg.eval_point(x) for dg in grads])
                 return red.lift_jacobian(z, x).T @ gx
@@ -731,18 +695,12 @@ class _ComposedObsCtx:
             out.append(FuncGenerator(val, grad, label=str(g)))
         return out
 
-    def lie_expr(self, li: int, g: NashExpr) -> NashExpr:
-        key = (li, g)
-        if key not in self._lie_cache:
-            self._lie_cache[key] = lie_derivative(
-                self.red.parent.fields[li], g)
-        return self._lie_cache[key]
-
-    def readout_exprs(self):
-        return self.red.parent.readout
-
-    def terminal(self, u, tol):
-        return self.red.terminal_state(self.red.x0, u, tol)
+    def trdeg(self, rng) -> TranscendenceReport:
+        """Transcendence degree of the observation algebra near the base
+        state."""
+        return estimate_trdeg(self.rank_generators(), self.sampler(rng),
+                              count=4, rank_tol=self.opts.rank_tol,
+                              gap_factor=self.opts.gap_factor)
 
 
 def observability_reduce(sys_like, oracle: ResponseOracle, epsilon: float,
@@ -758,8 +716,7 @@ def observability_reduce(sys_like, oracle: ResponseOracle, epsilon: float,
     opts = opts if opts is not None else RunConfig()
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    rng = rng if isinstance(rng, np.random.Generator) \
-        else np.random.default_rng(opts.seed if rng is None else rng)
+    rng = np.random.default_rng(opts.seed if rng is None else rng)
 
     reach = estimate_reachable_trdeg(
         sys_like, max_letters=sys_like.n, count=4, fd_step=opts.fd_step,
@@ -771,118 +728,45 @@ def observability_reduce(sys_like, oracle: ResponseOracle, epsilon: float,
             f"reachable input (reachable trdeg {reach.estimated_trdeg} "
             f"< dim {sys_like.n})")
 
-    ctx = _SymbolicObsCtx(sys_like, opts) if isinstance(sys_like, NashSystem) \
-        else _ComposedObsCtx(sys_like, opts)
-
-    rank_report = estimate_trdeg(ctx.rank_generators(), ctx.sampler(rng),
-                                 count=4, rank_tol=opts.rank_tol,
-                                 gap_factor=opts.gap_factor)
+    ctx = _ObsContext(sys_like, opts)
+    rank_report = ctx.trdeg(rng)
     d = rank_report.estimated_trdeg
     if d == 0:
         raise FitFailure("observation algebra has transcendence degree 0",
                          report=rank_report.to_json())
     phi = [ctx.generators[i] for i in rank_report.basis_indices]
-
-    S = _fit_sample_count(d, opts.degree_bound)
-    pts = ctx.sampler(rng)(S)
-    X = np.array([ctx.lift(z) for z in pts])
-    PHI = np.column_stack([[g.eval_point(x) for x in X] for g in phi])
-
     alphabet = sys_like.alphabet
     nletters = len(alphabet)
-    readout = ctx.readout_exprs()
+    readout = ctx.sys.readout
+    # targets: the basis functions' derivatives, letter-major, then the
+    # readout components
+    exprs = [lie_derivative(ctx.sys.fields[li], g)
+             for li in range(nletters) for g in phi] + list(readout)
+    failures = [
+        (f"derivative of basis function {i} along letter "
+         f"{alphabet.names[li]!r} admits no relation within degree "
+         f"{opts.degree_bound}", {"letter": alphabet.names[li], "basis": i})
+        for li in range(nletters) for i in range(d)]
+    failures += [(f"readout component {j} admits no relation within "
+                  f"degree {opts.degree_bound}", {"output": j})
+                 for j in range(len(readout))]
 
-    rel_f: list[list[PolynomialRelation]] = []
-    for li in range(nletters):
-        row = []
-        for i, g in enumerate(phi):
-            tgt_expr = ctx.lie_expr(li, g)
-            tvals = np.array([tgt_expr.eval_point(x) for x in X])
-            rel = fit_relation(tvals, PHI, opts.degree_bound, opts.fit_tol,
-                               seed=rng)
-            if rel is None:
-                raise FitFailure(
-                    f"derivative of basis function {i} along letter "
-                    f"{alphabet.names[li]!r} admits no relation within "
-                    f"degree {opts.degree_bound}",
-                    report={"letter": alphabet.names[li], "basis": i})
-            row.append(rel)
-        rel_f.append(row)
-    rel_h: list[PolynomialRelation] = []
-    for j, h in enumerate(readout):
-        tvals = np.array([h.eval_point(x) for x in X])
-        rel = fit_relation(tvals, PHI, opts.degree_bound, opts.fit_tol,
-                           seed=rng)
-        if rel is None:
-            raise FitFailure(
-                f"readout component {j} admits no relation within "
-                f"degree {opts.degree_bound}", report={"output": j})
-        rel_h.append(rel)
+    def sample_targets(S):
+        X = np.array([ctx.lift(z) for z in ctx.sampler(rng)(S)])
+        PHI = np.column_stack([[g.eval_point(x) for x in X] for g in phi])
+        return [(np.array([e.eval_point(x) for x in X]), PHI, msg, report)
+                for e, (msg, report) in zip(exprs, failures)]
 
-    shift = None
-    chosen_f = chosen_h = None
-    worst = None
-    for _ in range(10 * max(1, sys_like.n)):
-        u = _sample_shift_word(alphabet, sys_like.n, epsilon, rng)
-        try:
-            xbar_state = ctx.terminal(u, opts.flow_tol)
-        except (DomainExit, BlowUp):
-            continue
-        x = ctx.lift(xbar_state)
+    def at_shift(u):
+        x = ctx.lift(sys_like.terminal_state(sys_like.x0, u, opts.flow_tol))
         z = np.array([g.eval_point(x) for g in phi])
-        ok = True
-        trial_f = []
-        for li in range(nletters):
-            row = []
-            for i, rel in enumerate(rel_f[li]):
-                q = ctx.lie_expr(li, phi[i]).eval_point(x)
-                pick = _pick_nondegenerate(rel, q, z, opts.derivative_floor)
-                if pick is None:
-                    ok, worst = False, rel
-                    break
-                row.append((pick, q))
-            if not ok:
-                break
-            trial_f.append(row)
-        if not ok:
-            continue
-        trial_h = []
-        for j, rel in enumerate(rel_h):
-            q = readout[j].eval_point(x)
-            pick = _pick_nondegenerate(rel, q, z, opts.derivative_floor)
-            if pick is None:
-                ok, worst = False, rel
-                break
-            trial_h.append((pick, q))
-        if ok:
-            shift, chosen_f, chosen_h = u, trial_f, trial_h
-            zbar = z
-            break
-    if shift is None:
-        raise NoValidShiftInput(
-            "no shift input within epsilon made all implicit derivatives "
-            "nondegenerate",
-            relation=None if worst is None else worst.to_json())
+        return z, [(e.eval_point(x), z) for e in exprs]
 
-    radius = math.inf
-    maps_f = []
-    for li in range(nletters):
-        row = []
-        for rel, q in chosen_f[li]:
-            m = ImplicitMap(rel, zbar, q, newton_tol=opts.newton_tol,
-                            derivative_floor=opts.derivative_floor)
-            radius = min(radius, probe_radius(m, rng, opts.probe_rays))
-            row.append(m)
-        maps_f.append(row)
-    maps_h = []
-    for rel, q in chosen_h:
-        m = ImplicitMap(rel, zbar, q, newton_tol=opts.newton_tol,
-                        derivative_floor=opts.derivative_floor)
-        radius = min(radius, probe_radius(m, rng, opts.probe_rays))
-        maps_h.append(m)
-
-    red = ObsReduced(alphabet, len(readout), maps_f, maps_h, zbar, shift,
-                     radius)
+    shift, zbar, maps, radius = _build_chart(sys_like, d, sample_targets,
+                                             at_shift, epsilon, opts, rng)
+    maps_f = [maps[li * d:(li + 1) * d] for li in range(nletters)]
+    red = ObsReduced(alphabet, len(readout), maps_f, maps[nletters * d:],
+                     zbar, shift, radius)
 
     post_reach = estimate_reachable_trdeg(
         red, max_letters=d, count=4, fd_step=opts.fd_step,
@@ -913,8 +797,7 @@ def minimize(sys: NashSystem, oracle: ResponseOracle, epsilon: float,
     budget each; the result's dimension equals the response map's
     transcendence degree."""
     opts = opts if opts is not None else RunConfig()
-    rng = rng if isinstance(rng, np.random.Generator) \
-        else np.random.default_rng(opts.seed if rng is None else rng)
+    rng = np.random.default_rng(opts.seed if rng is None else rng)
     stage1 = reachability_reduce(sys, oracle, epsilon / 2.0, opts, rng)
     shifted = shift_oracle(oracle, stage1.shift_input)
     stage2 = observability_reduce(stage1, shifted, epsilon / 2.0, opts, rng)
@@ -943,8 +826,7 @@ def resymbolize(red: LocalRealization, degree: int = 3, samples: int = 200,
                 seed=0) -> dict:
     """Best-effort polynomial regression of the reduced vector fields and
     readout for inspection; never used in verification."""
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     d = red.dimension
     rho = 0.2 * (1.0 + float(np.linalg.norm(red.x0)))
     if math.isfinite(red.radius):

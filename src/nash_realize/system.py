@@ -127,9 +127,6 @@ class NashSystem:
     def r(self) -> int:
         return len(self.readout)
 
-    def field_for(self, letter: int) -> tuple[NashExpr, ...]:
-        return self.fields[letter]
-
     @cached_property
     def _field_kernels(self) -> tuple:
         return tuple(stacked_evaluator(f) for f in self.fields)
@@ -336,15 +333,6 @@ def flow(sys: NashSystem, x: Sequence[float], u: GeneralizedInput,
     return integrate_segments(sys.rhs, sys.domain.contains, x, u.word, tol)
 
 
-def state_to_output(sys: NashSystem, g: NashExpr, u: GeneralizedInput,
-                    tol: float = DEFAULT_FLOW_TOL) -> float:
-    """g evaluated at the trajectory terminal state (the state-to-output
-    map of one Nash function)."""
-    if g.nvars != sys.n:
-        raise ArityMismatch("g arity differs from system dimension")
-    return g.eval_point(flow(sys, sys.x0, u, tol).terminal)
-
-
 # --------------------------------------------------------------- oracles
 
 
@@ -494,10 +482,6 @@ class _ShiftedOracle(ResponseOracle):
 
     def respond(self, v: GeneralizedInput) -> np.ndarray:
         return self.base.respond(concat(self.u, v))
-
-
-def respond(oracle: ResponseOracle, u: GeneralizedInput) -> np.ndarray:
-    return oracle.respond(u)
 
 
 def shift_oracle(oracle: ResponseOracle,

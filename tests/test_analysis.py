@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nash_realize import catalog
-from nash_realize.analysis import (FuncGenerator, box_sampler,
+from nash_realize.analysis import (_CONST_FLOOR, _NOISE_FLOOR_TOL,
+                                   FuncGenerator, _rank_evidence, box_sampler,
                                    estimate_reachable_trdeg,
                                    estimate_response_trdeg, estimate_trdeg,
                                    fit_relation, generate_obs_algebra,
@@ -142,6 +143,47 @@ def test_trdeg_subnoise_tolerance_flags_low_confidence():
     rep = estimate_trdeg(gens, sampler_for(2, (0.0, 0.0), 1.0),
                          rank_tol=1e-18, mode="float")
     assert rep.low_confidence
+
+
+def test_rank_evidence_zero_matrix():
+    ev = _rank_evidence(np.zeros((3, 2)), _CONST_FLOOR, 1e-8, 1e6)
+    assert ev.rank == 0
+    assert ev.singular_values == ()
+    assert ev.pivots == ()
+    assert ev.gap == np.inf
+    assert not ev.low_confidence
+
+
+def test_rank_evidence_known_singular_values():
+    # the zero row is dropped; the unit rows e1, e2 and (0, 1, s) have
+    # singular values sqrt(2), 1 and s / sqrt(2), and the last falls
+    # below the tolerance
+    s = 1e-10
+    mat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                    [0.0, 1.0, s]])
+    ev = _rank_evidence(mat, _CONST_FLOOR, 1e-8, 1e6)
+    assert ev.singular_values == pytest.approx(
+        (np.sqrt(2.0), 1.0, s / np.sqrt(2.0)), rel=1e-6)
+    assert ev.rank == 2
+    assert ev.gap == pytest.approx(np.sqrt(2.0) / s, rel=1e-6)
+    assert not ev.low_confidence
+    # pivots index the rows of mat, zero row included
+    assert ev.pivots == (1, 2)
+
+
+def test_rank_evidence_const_floor_drops_every_row():
+    mat = np.array([[1e-10, 0.0], [0.0, 2e-10]])
+    assert _rank_evidence(mat, 0.0, 1e-8, 1e6).rank == 2
+    assert _rank_evidence(mat, _CONST_FLOOR, 1e-8, 1e6).rank == 0
+
+
+def test_rank_evidence_subnoise_tolerance_is_low_confidence():
+    tol = 0.1 * _NOISE_FLOOR_TOL
+    ev = _rank_evidence(np.eye(2), _CONST_FLOOR, tol, 1e6)
+    assert ev.rank == 2 and ev.gap == np.inf
+    assert ev.low_confidence
+    assert _rank_evidence(np.zeros((2, 2)), _CONST_FLOOR, tol,
+                          1e6).low_confidence
 
 
 def test_trdeg_report_json():

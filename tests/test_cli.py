@@ -4,14 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import nash_realize
-from nash_realize import catalog
 from nash_realize.cli import main
 
+CATALOG_DATA = resources.files("nash_realize") / "catalog_data"
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -87,6 +88,17 @@ def test_analyze_depth_zero(capsys):
     assert rep["obs_algebra_size"] == 1
 
 
+def test_analyze_raises_obs_depth_to_n_minus_1(capsys):
+    # SYS-LIN3 needs Lie depth 2 to see all three coordinates; like every
+    # other command, analyze observes at depth max(depth, n - 1)
+    code, rep = run_cli(capsys, "analyze", "SYS-LIN3", "--depth", "1",
+                        "--seed", "7")
+    assert code == 0
+    assert rep["response_trdeg"]["estimated_trdeg"] == 3
+    assert rep["obs_trdeg"]["estimated_trdeg"] == 3
+    assert rep["observable"] is True
+
+
 def test_reports_are_deterministic(capsys):
     def snapshot():
         code, rep = run_cli(capsys, "analyze", "SYS-BILIN", "--seed", "7")
@@ -159,9 +171,9 @@ def test_acceptance_single_criterion(capsys):
 
 
 def test_acceptance_flags_corrupted_catalog(capsys, tmp_path):
-    src = Path(catalog.data_path("SYS-LIN1")).parent
-    for fn in src.glob("*.json"):
-        shutil.copy(fn, tmp_path / fn.name)
+    with resources.as_file(CATALOG_DATA) as src:
+        for fn in Path(src).glob("*.json"):
+            shutil.copy(fn, tmp_path / fn.name)
     (tmp_path / "broken.json").write_text("{ not json")
     code, rep = run_cli(capsys, "acceptance", str(tmp_path), "--only", "A7")
     assert code == 1
@@ -181,7 +193,8 @@ def test_out_file(capsys, tmp_path):
 
 def test_file_path_input(capsys, tmp_path):
     target = tmp_path / "system.json"
-    shutil.copy(catalog.data_path("SYS-LIN1"), target)
+    with resources.as_file(CATALOG_DATA / "SYS-LIN1.json") as src:
+        shutil.copy(src, target)
     code, rep = run_cli(capsys, "simulate", str(target), "--input", "[]")
     assert code == 0
     assert rep["terminal"] == [1.0]

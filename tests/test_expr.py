@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nash_realize.errors import (ArityMismatch, DomainViolation,
                                  ExactnessUnavailable)
 from nash_realize.expr import (ALL_REAL, EXACT, POSITIVE_ORTHANT, NashExpr,
-                               gradient, lie_derivative, stacked_evaluator)
+                               lie_derivative, stacked_evaluator)
 
 
 def x(i, n, flag=ALL_REAL):
@@ -160,7 +160,7 @@ def test_closure_under_differentiation():
     d = e.diff(0).diff(1)
     assert isinstance(d, NashExpr)
     assert all(isinstance(c, Fraction) for c, _ in d.terms)
-    g = gradient(e)
+    g = e.gradient()
     assert len(g) == 2
     assert g[0].terms == e.diff(0).terms
 

@@ -8,10 +8,11 @@ from nash_realize import catalog
 from nash_realize.analysis import PolynomialRelation
 from nash_realize.config import RunConfig
 from nash_realize.errors import (DerivativeVanished, FitFailure,
-                                 NewtonDiverged, NotReachableInput)
+                                 NewtonDiverged, NotReachableInput,
+                                 NoValidShiftInput)
 from nash_realize.inputs import GeneralizedInput
 from nash_realize.reduction import (ImplicitMap, ObsReduced, ReachReduced,
-                                    _gate, implicit_solve, minimize,
+                                    _build_chart, _gate, minimize,
                                     observability_reduce, probe_radius,
                                     reachability_reduce,
                                     realization_from_json,
@@ -37,8 +38,8 @@ def rel_product():
 
 def test_implicit_solve_identity():
     m = ImplicitMap(rel_identity(), [3.0], 3.0)
-    assert implicit_solve(m, [5.0]) == pytest.approx(5.0, abs=1e-11)
-    assert implicit_solve(m, [-2.5]) == pytest.approx(-2.5, abs=1e-11)
+    assert m.solve([5.0]) == pytest.approx(5.0, abs=1e-11)
+    assert m.solve([-2.5]) == pytest.approx(-2.5, abs=1e-11)
 
 
 def test_implicit_solve_branch_selection():
@@ -50,7 +51,7 @@ def test_implicit_solve_branch_selection():
 
 def test_implicit_solve_two_variables():
     m = ImplicitMap(rel_product(), [1.0, 1.0], 1.0)
-    assert implicit_solve(m, [2.0, 3.0]) == pytest.approx(6.0, abs=1e-10)
+    assert m.solve([2.0, 3.0]) == pytest.approx(6.0, abs=1e-10)
 
 
 def test_implicit_map_polishes_base():
@@ -70,6 +71,68 @@ def test_implicit_solve_no_real_root():
     m = ImplicitMap(rel_sqrt(), [4.0], 2.0)
     with pytest.raises((NewtonDiverged, DerivativeVanished)):
         m.solve([-1.0])
+
+
+def chart_samples(S, *columns):
+    """Chart targets over one basis coordinate z in [0.5, 2]: one per
+    function of z given."""
+    z = np.random.default_rng(1).uniform(0.5, 2.0, size=S)
+    return [(f(z), z[:, None], f"target {k}", {"target": k})
+            for k, f in enumerate(columns)]
+
+
+def test_build_chart_maps_follow_target_order():
+    lin1 = catalog.load("SYS-LIN1")
+    opts = RunConfig(degree_bound=2)
+
+    def at_shift(u):
+        z = np.array([1.0 + u.total_time])
+        return z, [(2.0 * z[0], z), (np.sqrt(z[0]), z)]
+
+    shift, zbar, maps, radius = _build_chart(
+        lin1, 1, lambda S: chart_samples(S, lambda z: 2.0 * z, np.sqrt),
+        at_shift, 0.1, opts, np.random.default_rng(0))
+    assert 0.0 < shift.total_time < 0.1
+    assert zbar[0] == pytest.approx(1.0 + shift.total_time)
+    assert maps[0].solve([3.0]) == pytest.approx(6.0, abs=1e-9)
+    assert maps[1].solve([3.0]) == pytest.approx(math.sqrt(3.0), abs=1e-9)
+    # the square root's branch ends at z = 0, the line's nowhere
+    assert radius == maps[1].validity_radius < maps[0].validity_radius
+
+
+def test_build_chart_reports_target_without_relation():
+    lin1 = catalog.load("SYS-LIN1")
+    noise = np.random.default_rng(2).uniform
+
+    with pytest.raises(FitFailure) as info:
+        _build_chart(lin1, 1,
+                     lambda S: chart_samples(S, np.sqrt,
+                                             lambda z: noise(size=z.size)),
+                     None, 0.1, RunConfig(degree_bound=2),
+                     np.random.default_rng(0))
+    assert str(info.value) == "target 1"
+    assert info.value.report == {"target": 1}
+
+
+def test_build_chart_reports_relation_whose_derivative_vanishes():
+    # T = sqrt(z) fits T^2 - z = 0, whose dQ/dT = 2T is zero wherever the
+    # shift lands on T = 0
+    lin1 = catalog.load("SYS-LIN1")
+    calls = []
+
+    def at_shift(u):
+        calls.append(u)
+        return None, [(0.0, np.array([0.0]))]
+
+    with pytest.raises(NoValidShiftInput) as info:
+        _build_chart(lin1, 1, lambda S: chart_samples(S, np.sqrt), at_shift,
+                     0.1, RunConfig(degree_bound=2),
+                     np.random.default_rng(0))
+    assert len(calls) == 10
+    rel = PolynomialRelation.from_json(info.value.relation)
+    assert rel.degree_T == 2
+    assert rel.dT(0.0, [0.0]) == 0.0
+    assert rel.value(math.sqrt(1.5), [1.5]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_probe_radius():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from nash_realize.inputs import GeneralizedInput, concat, reverse, \
     sample_inputs
 from nash_realize import system as system_module
 from nash_realize.system import (Box, NashSystem, SystemOracle, TableOracle,
-                                 flow, respond, shift_oracle,
-                                 state_to_output)
+                                 flow, shift_oracle)
 
 LIN1 = catalog.load("SYS-LIN1")
 DIAG = catalog.load("SYS-DIAG")
@@ -125,9 +125,10 @@ def test_alphabet_mismatch():
 
 
 def test_state_to_output():
+    # a Nash function of the state, read at the end of the trajectory
     g = LIN1.readout[0]
-    v = state_to_output(LIN1, g, word(LIN1, ("a0", math.log(2.0))), TOL)
-    assert v == pytest.approx(2.0, abs=1e-8)
+    traj = flow(LIN1, LIN1.x0, word(LIN1, ("a0", math.log(2.0))), TOL)
+    assert g.eval_point(traj.terminal) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_trajectory_structure_and_sampling():
@@ -151,7 +152,8 @@ def test_shift_oracle_identity():
     empty = GeneralizedInput.empty(BILIN.alphabet)
     assert shift_oracle(o, empty).respond(v) == pytest.approx(o.respond(v),
                                                               abs=1e-12)
-    assert respond(o, u) == pytest.approx(o.respond(u))
+    terminal = flow(BILIN, BILIN.x0, u, TOL).terminal
+    assert o.respond(u) == pytest.approx(BILIN.readout_values(terminal))
 
 
 def test_double_shift_composes():
@@ -202,7 +204,9 @@ def test_system_json_round_trip():
 def test_catalog_builders_match_shipped_data():
     for name in catalog.names():
         built = catalog.build(name).to_json()
-        with open(catalog.data_path(name), encoding="utf-8") as fh:
+        ref = resources.files("nash_realize").joinpath(
+            "catalog_data", f"{name}.json")
+        with ref.open("r", encoding="utf-8") as fh:
             shipped = json.load(fh)
         assert built == shipped, name
 

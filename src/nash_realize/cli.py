@@ -25,7 +25,7 @@ from .minimality import (check_minimality, construct_isomorphism,
 from .reduction import (_ObsContext, minimize, observability_reduce,
                         reachability_reduce, resymbolize,
                         verify_local_realization)
-from .system import NashSystem, SystemOracle, flow
+from .system import NashSystem, SystemOracle, flow, sample_flow
 
 _TOL_FLAGS = (
     ("--tol-flow", "flow_tol", "ODE integration tolerance"),
@@ -81,7 +81,7 @@ def cmd_simulate(args, cfg: RunConfig):
     word = GeneralizedInput.from_json(json.loads(args.input), sys_.alphabet)
     traj = flow(sys_, sys_.x0, word, cfg.flow_tol)
     if args.csv:
-        samples = traj.sample()
+        samples = sample_flow(sys_, traj, word, cfg.flow_tol)
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(",".join(["t"] + [f"x{i + 1}" for i in
                                        range(sys_.n)]) + "\n")

@@ -169,6 +169,11 @@ class LocalRealization:
     def n(self) -> int:
         return self.dimension
 
+    @cached_property
+    def _box(self) -> Box:
+        # a chart is all of R^d: no exit event, only finite end states
+        return Box.unbounded(self.dimension)
+
     def _rhs_session(self, warm: dict):
         raise NotImplementedError
 
@@ -188,8 +193,7 @@ class LocalRealization:
         for u in words:
             if u.alphabet != self.alphabet:
                 raise AlphabetMismatch("word alphabet differs from system")
-        box = Box.unbounded(self.dimension)
-        states = terminal_states(self._rhs_session, box.contains,
+        states = terminal_states(self._rhs_session, self._box,
                                  np.asarray(z, dtype=float),
                                  [u.word for u in words], tol)
         return _chart_exits(states)

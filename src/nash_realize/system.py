@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -23,9 +24,6 @@ from .expr import ALL_REAL, POSITIVE_ORTHANT, NashExpr, stacked_evaluator
 from .inputs import GeneralizedInput, InputAlphabet, concat
 
 DEFAULT_FLOW_TOL = 1e-10
-
-# interior samples per segment for domain-exit detection
-_EXIT_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,47 @@ class Box:
     def all_positive(self) -> bool:
         return all(self.positive)
 
+    @cached_property
+    def _faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(coordinate, bound, sign) of each finite face, a positivity
+        constraint folded into its coordinate's lower face. The margin of
+        face k at x, sign[k] * (x[coordinate[k]] - bound[k]), is positive
+        inside."""
+        faces = []
+        for i, (lo, hi, pos) in enumerate(zip(self.lower, self.upper,
+                                              self.positive)):
+            lo = max(lo, 0.0) if pos else lo
+            if lo > -math.inf:
+                faces.append((i, lo, 1.0))
+            if hi < math.inf:
+                faces.append((i, hi, -1.0))
+        idx, bound, sign = zip(*faces) if faces else ((), (), ())
+        return (np.array(idx, dtype=int), np.array(bound, dtype=float),
+                np.array(sign, dtype=float))
+
+    def _margins(self, x: np.ndarray) -> np.ndarray:
+        idx, bound, sign = self._faces
+        return sign * (x[idx] - bound)
+
     def contains(self, x: np.ndarray) -> bool:
-        # the open comparisons also reject nan and +-inf
-        for xi, lo, hi, pos in zip(x, self.lower, self.upper, self.positive):
-            if not lo < xi < hi:
-                return False
-            if pos and xi <= 0:
-                return False
-        return True
+        # isfinite rejects nan and +-inf, which a box without faces
+        # would otherwise let through
+        x = np.asarray(x, dtype=float)
+        return bool(np.all(np.isfinite(x)) and np.all(self._margins(x) > 0))
+
+    @cached_property
+    def exit_event(self) -> Optional[Callable[[float, np.ndarray], float]]:
+        """Terminal solve_ivp event for leaving the box: the smallest face
+        margin, falling through zero. None on R^n, which has no face."""
+        if not self._faces[0].size:
+            return None
+
+        def event(_t, y):
+            return np.min(self._margins(y))
+
+        event.terminal = True
+        event.direction = -1
+        return event
 
     def to_json(self) -> dict:
         def enc(v):
@@ -158,8 +189,8 @@ class NashSystem:
             if u.alphabet != self.alphabet:
                 raise AlphabetMismatch(
                     "word alphabet differs from system alphabet")
-        return terminal_states(lambda _warm: self.rhs, self.domain.contains,
-                               x, [u.word for u in words], tol)
+        return terminal_states(lambda _warm: self.rhs, self.domain, x,
+                               [u.word for u in words], tol)
 
     def terminal_state(self, x: Sequence[float], u: GeneralizedInput,
                        tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
@@ -188,7 +219,6 @@ class NashSystem:
             # fractional or negative exponents force the orthant flag
             flag = ALL_REAL
             for t in term_list:
-                from fractions import Fraction
                 for e in t["exps"]:
                     q = Fraction(e)
                     if q.denominator != 1 or q < 0:
@@ -205,91 +235,72 @@ class NashSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Breakpoint states plus dense-output segments of one flow."""
+    """Breakpoint times and states of one flow."""
 
     breakpoints: tuple[float, ...]          # cumulative signed times
     states: tuple[tuple[float, ...], ...]   # state at each breakpoint
-    segments: tuple                          # (duration, OdeSolution or None)
     terminal: np.ndarray
 
-    def sample(self, per_segment: int = 16):
-        """(time, state) samples along the word, for CSV export."""
-        out = [(self.breakpoints[0], np.asarray(self.states[0]))]
-        t_abs = self.breakpoints[0]
-        for (dur, sol), t_next in zip(self.segments, self.breakpoints[1:]):
-            if sol is None:
-                out.append((t_next, np.asarray(self.states[len(out) - 1])))
-            else:
-                for frac in np.linspace(0.0, 1.0, per_segment + 1)[1:]:
-                    out.append((t_abs + frac * dur, sol.sol(frac * dur)))
-            t_abs = t_next
-        return out
+
+def _integrate(fun, x, dur, tol, **kwargs):
+    """One DOP853 segment of signed duration dur from x."""
+    return solve_ivp(fun, (0.0, dur), x, method="DOP853", rtol=tol,
+                     atol=tol, **kwargs)
 
 
-def integrate_segments(rhs_for_letter, in_domain, x, word, tol,
+def integrate_segments(rhs_for_letter, box: Box, x, word, tol,
                        on_breakpoint=None):
     """Shared segment-by-segment integrator.
 
-    rhs_for_letter(i) -> f(t, y); in_domain(y) -> bool. Raises DomainExit
-    when any dense-output sample leaves the domain, BlowUp on integrator
-    failure with the trajectory still inside. on_breakpoint(j, x), when
-    given, sees the state x after each segment j (0-based) as it is
-    reached.
+    rhs_for_letter(i) -> f(t, y). Raises DomainExit when the trajectory
+    leaves the open box: the box's exit event stops the integration at a
+    face or positivity constraint. Crossings are seen at accepted steps,
+    so an excursion that leaves and re-enters within one step goes
+    unseen. Raises BlowUp on integrator failure with the trajectory still
+    inside, and on a nonfinite end state. on_breakpoint(j, x), when given,
+    sees the state x after each segment j (0-based) as it is reached.
     """
     x = np.asarray(x, dtype=float)
-    if not in_domain(x):
+    if not box.contains(x):
         raise DomainExit("initial state outside the domain")
     breakpoints = [0.0]
     states = [tuple(x)]
-    segments = []
     t_abs = 0.0
-    for letter, dur in word:
-        if dur == 0.0:
-            segments.append((0.0, None))
-            breakpoints.append(t_abs)
-            states.append(tuple(x))
-            if on_breakpoint is not None:
-                on_breakpoint(len(segments) - 1, x)
-            continue
-        fun = rhs_for_letter(letter)
-        sol = solve_ivp(fun, (0.0, dur), x,
-                        method="DOP853", rtol=tol, atol=tol,
-                        dense_output=True)
-        reached = sol.t[-1] if sol.t.size else 0.0
-        check_ts = np.linspace(0.0, reached, _EXIT_SAMPLES + 2)[1:]
-        if sol.sol is not None and check_ts.size:
-            samples = sol.sol(check_ts).T
-            for y in samples:
-                if not in_domain(y):
-                    raise DomainExit("trajectory left the domain")
-        if not sol.success:
-            # classify the failure: an Euler step over the remaining
-            # duration that lands finite-but-outside means the trajectory
-            # runs into the domain boundary, not a blowup
-            x_end = sol.y[:, -1] if sol.y.size else x
-            try:
-                y_pred = x_end + (dur - reached) * np.asarray(fun(0.0,
-                                                                  x_end))
-            except Exception:
-                y_pred = None
-            if y_pred is not None and np.all(np.isfinite(y_pred)) \
-                    and not in_domain(y_pred):
-                raise DomainExit("trajectory reaches the domain boundary")
-            raise BlowUp(f"integration failed: {sol.message}")
-        x = sol.y[:, -1].copy()
-        if not np.all(np.isfinite(x)):
-            raise BlowUp("nonfinite state")
-        t_abs += dur
-        segments.append((dur, sol))
+    for j, (letter, dur) in enumerate(word):
+        if dur != 0.0:
+            fun = rhs_for_letter(letter)
+            sol = _integrate(fun, x, dur, tol, events=box.exit_event)
+            if sol.status == 1:
+                raise DomainExit("trajectory left the domain")
+            if not sol.success:
+                # classify the failure: an Euler step over the remaining
+                # duration that lands finite-but-outside means the
+                # trajectory runs into the domain boundary, not a blowup
+                # (fractional fields fail on nan stages before an
+                # accepted step crosses x = 0)
+                reached = sol.t[-1] if sol.t.size else 0.0
+                x_end = sol.y[:, -1] if sol.y.size else x
+                try:
+                    y_pred = x_end + (dur - reached) * np.asarray(
+                        fun(0.0, x_end))
+                except Exception:
+                    y_pred = None
+                if y_pred is not None and np.all(np.isfinite(y_pred)) \
+                        and not box.contains(y_pred):
+                    raise DomainExit("trajectory reaches the domain boundary")
+                raise BlowUp(f"integration failed: {sol.message}")
+            x = sol.y[:, -1].copy()
+            if not np.all(np.isfinite(x)):
+                raise BlowUp("nonfinite state")
+            t_abs += dur
         breakpoints.append(t_abs)
         states.append(tuple(x))
         if on_breakpoint is not None:
-            on_breakpoint(len(segments) - 1, x)
-    return Trajectory(tuple(breakpoints), tuple(states),
-                      tuple(segments), x)
+            on_breakpoint(j, x)
+    return Trajectory(tuple(breakpoints), tuple(states), x)
 
 
-def terminal_states(rhs_session, in_domain, x, words, tol
+def terminal_states(rhs_session, box: Box, x, words, tol
                     ) -> Iterator[np.ndarray]:
     """Terminal state of each word from x, in order, integrating every
     prefix the words share once.
@@ -320,8 +331,8 @@ def terminal_states(rhs_session, in_domain, x, words, tol
         def save(j, y, word=word, depth=depth, warm=warm):
             cache[word[:depth + j + 1]] = (y, dict(warm))
 
-        yield integrate_segments(rhs_session(warm), in_domain, start,
-                                 word[depth:], tol, save).terminal.copy()
+        yield integrate_segments(rhs_session(warm), box, start, word[depth:],
+                                 tol, save).terminal.copy()
 
 
 def flow(sys: NashSystem, x: Sequence[float], u: GeneralizedInput,
@@ -330,7 +341,28 @@ def flow(sys: NashSystem, x: Sequence[float], u: GeneralizedInput,
     durations)."""
     if u.alphabet != sys.alphabet:
         raise AlphabetMismatch("word alphabet differs from system alphabet")
-    return integrate_segments(sys.rhs, sys.domain.contains, x, u.word, tol)
+    return integrate_segments(sys.rhs, sys.domain, x, u.word, tol)
+
+
+def sample_flow(sys: NashSystem, traj: Trajectory, u: GeneralizedInput,
+                tol: float = DEFAULT_FLOW_TOL, per_segment: int = 16):
+    """(time, state) samples along traj, the flow of u, for CSV export:
+    the start, then per_segment points per segment at equal fractions of
+    its duration. Each segment is integrated again from its breakpoint
+    state; the steps are those of the flow, so the points come from the
+    same step interpolants."""
+    fracs = np.linspace(0.0, 1.0, per_segment + 1)[1:]
+    out = [(traj.breakpoints[0], np.asarray(traj.states[0]))]
+    for (letter, dur), t0, x, t1, x1 in zip(
+            u.word, traj.breakpoints, traj.states, traj.breakpoints[1:],
+            traj.states[1:]):
+        if dur == 0.0:
+            out.append((t1, np.asarray(x1)))
+            continue
+        ts = fracs * dur
+        sol = _integrate(sys.rhs(letter), x, dur, tol, t_eval=ts)
+        out.extend((t0 + t, y) for t, y in zip(ts, sol.y.T))
+    return out
 
 
 # --------------------------------------------------------------- oracles

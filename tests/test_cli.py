@@ -53,15 +53,20 @@ def test_simulate_domain_exit(capsys):
 
 def test_simulate_csv(capsys, tmp_path):
     csv = tmp_path / "traj.csv"
-    code, _ = run_cli(capsys, "simulate", "SYS-DIAG",
-                      "--input", json.dumps([["a0", 0.3]]),
-                      "--csv", str(csv))
+    code, rep = run_cli(capsys, "simulate", "SYS-DIAG",
+                        "--input", json.dumps([["a0", 0.3], ["a1", 0.0]]),
+                        "--csv", str(csv))
     assert code == 0
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,x1,x2"
-    assert len(lines) > 10
+    # the start, 16 points on the first segment, one for the empty one
+    assert len(lines) == 1 + 1 + 16 + 1
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 1.0, 1.0]
+    for row in (lines[17], lines[18]):
+        t, *x = (float(v) for v in row.split(","))
+        assert t == pytest.approx(0.3)
+        assert x == pytest.approx(rep["terminal"], abs=1e-9)
 
 
 def test_analyze_redundant_pair(capsys):

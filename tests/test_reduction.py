@@ -10,6 +10,7 @@ from nash_realize.config import RunConfig
 from nash_realize.errors import (DerivativeVanished, FitFailure,
                                  NewtonDiverged, NotReachableInput,
                                  NoValidShiftInput)
+from nash_realize import system as system_module
 from nash_realize.inputs import GeneralizedInput
 from nash_realize.reduction import (ImplicitMap, ObsReduced, ReachReduced,
                                     _build_chart, _gate, minimize,
@@ -369,10 +370,41 @@ def test_chart_terminal_states_match_per_word_flows():
     for red in hand_charts():
         words = chart_words(red.alphabet)
         box = Box.unbounded(red.dimension)
-        want = [integrate_segments(red._rhs_session({}), box.contains,
-                                   red.x0, w.word, 1e-10).terminal
+        want = [integrate_segments(red._rhs_session({}), box, red.x0,
+                                   w.word, 1e-10).terminal
                 for w in words]
         got = list(red.terminal_states(red.x0, words, 1e-10))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         single = [red.terminal_state(red.x0, w, 1e-10) for w in words]
         assert [g.tobytes() for g in single] == [w.tobytes() for w in want]
+
+
+def test_flows_build_no_dense_output(monkeypatch):
+    """Every flow path integrates without an interpolant; a box on R^n,
+    which every chart is, passes no event."""
+    calls = []
+    real = system_module.solve_ivp
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(system_module, "solve_ivp", recording)
+    pl, bilin = catalog.load("SYS-PL"), catalog.load("SYS-BILIN")
+    for sys_ in (pl, bilin):
+        words = chart_words(sys_.alphabet)
+        calls.clear()
+        system_module.flow(sys_, sys_.x0, words[0], 1e-10)
+        list(sys_.terminal_states(sys_.x0, words, 1e-10))
+        SystemOracle(sys_, tol=1e-10).respond_many(words)
+        assert calls
+        assert all(not kw.get("dense_output", False) for kw in calls)
+        assert all(kw["events"] is sys_.domain.exit_event for kw in calls)
+    assert pl.domain.exit_event is not None
+    assert bilin.domain.exit_event is None
+    for red in hand_charts():
+        calls.clear()
+        list(red.terminal_states(red.x0, chart_words(red.alphabet), 1e-10))
+        assert calls
+        assert all(not kw.get("dense_output", False) for kw in calls)
+        assert all(kw["events"] is None for kw in calls)

@@ -16,7 +16,7 @@ from nash_realize.inputs import GeneralizedInput, concat, reverse, \
     sample_inputs
 from nash_realize import system as system_module
 from nash_realize.system import (Box, NashSystem, SystemOracle, TableOracle,
-                                 flow, shift_oracle)
+                                 flow, sample_flow, shift_oracle)
 
 LIN1 = catalog.load("SYS-LIN1")
 DIAG = catalog.load("SYS-DIAG")
@@ -132,15 +132,22 @@ def test_state_to_output():
 
 
 def test_trajectory_structure_and_sampling():
-    u = word(DIAG, ("a0", 0.25), ("a1", 0.5))
+    u = word(DIAG, ("a0", 0.25), ("a1", 0.5), ("a0", 0.0))
     traj = flow(DIAG, DIAG.x0, u, TOL)
-    assert traj.breakpoints == pytest.approx((0.0, 0.25, 0.75))
-    assert len(traj.states) == 3
-    samples = traj.sample(per_segment=8)
-    assert len(samples) == 17
+    assert traj.breakpoints == pytest.approx((0.0, 0.25, 0.75, 0.75))
+    assert len(traj.states) == 4
+    samples = sample_flow(DIAG, traj, u, TOL, per_segment=8)
+    # the start, 8 points per segment, the zero-duration segment's end
+    assert len(samples) == 18
     ts = [t for t, _ in samples]
-    assert ts[0] == 0.0 and ts[-1] == pytest.approx(0.75)
+    assert ts[0] == 0.0 and ts[8] == 0.25 and ts[-1] == pytest.approx(0.75)
     assert samples[-1][1] == pytest.approx(traj.terminal)
+    # each sample is the state of the word cut off at its time
+    for k in (3, 8, 11, 16):
+        t, x = samples[k]
+        cut = word(DIAG, ("a0", min(t, 0.25)), ("a1", max(t - 0.25, 0.0)))
+        assert x == pytest.approx(flow(DIAG, DIAG.x0, cut, TOL).terminal,
+                                  abs=1e-8)
 
 
 def test_shift_oracle_identity():
@@ -241,6 +248,75 @@ def test_box_contains_rejects_nan_and_inf():
                 x[i] = bad
                 assert not box.contains(x), (box, x)
     assert not Box.unbounded(2, positive=True).contains(np.array([0.5, 0.0]))
+
+
+def contains_loop(box, x):
+    """Box membership coordinate by coordinate, as the definition reads."""
+    return all(lo < xi < hi and (not pos or xi > 0)
+               for xi, lo, hi, pos in zip(x, box.lower, box.upper,
+                                          box.positive))
+
+
+def test_box_contains_and_exit_event_agree_with_faces():
+    boxes = [Box.unbounded(3), Box.unbounded(3, positive=True),
+             Box((-1.0, -math.inf, 0.5), (2.0, 0.25, math.inf),
+                 (True, False, True)),
+             Box((-math.inf, -3.0, -math.inf), (math.inf, math.inf, 1.0),
+                 (False, True, False))]
+    rng = np.random.default_rng(3)
+    points = [rng.uniform(-4.0, 4.0, size=3) for _ in range(400)]
+    points += [np.array([0.0, 0.25, 0.5]), np.array([-1.0, -3.0, 1.0]),
+               np.array([2.0, 0.0, 0.0])]
+    for box in boxes:
+        event = box.exit_event
+        for x in points:
+            want = contains_loop(box, x)
+            assert box.contains(x) == want, (box, x)
+            if event is not None:
+                assert (event(0.0, x) > 0) == want, (box, x)
+    assert boxes[0].exit_event is None
+    assert boxes[1].exit_event is boxes[1].exit_event
+    assert boxes[2].exit_event.terminal is True
+    assert boxes[2].exit_event.direction == -1
+    # the margin is the distance to the nearest face, x1 > 0 folded in
+    assert boxes[2].exit_event(0.0, np.array([0.1, 0.0, 3.0])) == \
+        pytest.approx(0.1)
+
+
+def rotation_system():
+    """x' = (x2, -x1) under a0 and its reverse under a1, on x1 < 0.99,
+    from (0, 1): circles of radius 1 peak at x1 = 1."""
+    x1, x2 = NashExpr.variable(0, 2), NashExpr.variable(1, 2)
+    box = Box((-math.inf, -math.inf), (0.99, math.inf), (False, False))
+    return NashSystem(box, LIN1.alphabet, ((x2, -x1), (-x2, x1)), (x1, x2),
+                      (0.0, 1.0))
+
+
+@pytest.mark.parametrize("pairs", [
+    (("a0", 2 * math.pi),), (("a1", -2 * math.pi),), (("a0", math.pi),),
+    # backward: a1 reversed turns like a0, through x1 = 1 at t = -pi/2
+    (("a1", -math.pi),), (("a0", 0.5), ("a1", -math.pi)),
+])
+def test_excursion_inside_one_segment_raises(pairs):
+    # each trajectory crosses x1 = 0.99 and comes back within one segment
+    rot = rotation_system()
+    u = word(rot, *pairs)
+    with pytest.raises(DomainExit):
+        flow(rot, rot.x0, u, TOL)
+    with pytest.raises(DomainExit):
+        list(rot.terminal_states(rot.x0, [u], TOL))
+    with pytest.raises(DomainExit):
+        SystemOracle(rot, tol=TOL).respond(u)
+
+
+def test_rotation_inside_the_box_flows():
+    rot = rotation_system()
+    u = word(rot, ("a0", 1.0))
+    want = [math.sin(1.0), math.cos(1.0)]
+    assert flow(rot, rot.x0, u, TOL).terminal == pytest.approx(want,
+                                                               abs=1e-8)
+    assert SystemOracle(rot, tol=TOL).respond(u) == pytest.approx(want,
+                                                                  abs=1e-8)
 
 
 def test_stacked_fields_match_eval_point_on_catalog():

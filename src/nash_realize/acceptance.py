@@ -135,7 +135,7 @@ def run_a3(cfg: RunConfig, systems: dict) -> dict:
     oracle = SystemOracle(sys, tol=cfg.flow_tol)
     red = observability_reduce(sys, oracle, cfg.epsilon, opts=cfg, rng=rng)
     reach = estimate_reachable_trdeg(
-        red, max_letters=red.dimension, count=4, fd_step=cfg.fd_step,
+        red, max_letters=red.dimension, count=4,
         rank_tol=cfg.rank_tol, seed=rng, time_budget=cfg.budget,
         flow_tol=cfg.fd_flow_tol, gap_factor=cfg.gap_factor)
     resp = estimate_response_trdeg(
@@ -367,7 +367,7 @@ def run_a8(cfg: RunConfig, systems: dict) -> dict:
         time_budget=cfg.budget, flow_tol=cfg.fd_flow_tol,
         gap_factor=cfg.gap_factor)
     reach_tight = estimate_reachable_trdeg(
-        lin1, max_letters=1, count=2, fd_step=cfg.fd_step, rank_tol=1e-18,
+        lin1, max_letters=1, count=2, rank_tol=1e-18,
         seed=rng, time_budget=cfg.budget, flow_tol=cfg.fd_flow_tol,
         gap_factor=cfg.gap_factor)
     details["response_low_confidence"] = resp_tight.low_confidence

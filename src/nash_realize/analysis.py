@@ -7,7 +7,9 @@ otherwise. The response-map variant differentiates oracle responses with
 respect to switching durations of sampled words; derivative generators of
 the observation algebra are realized by extending the words with short
 random suffixes, which spans the same space as iterated time derivatives
-for analytic responses.
+for analytic responses. Duration derivatives of a simulated system are
+exact, from its variational equations; an oracle without a field (a
+table) gets Richardson differences.
 """
 
 from __future__ import annotations
@@ -381,6 +383,36 @@ def _fd_words(word: GeneralizedInput, h: float) -> list[GeneralizedInput]:
             for slot in range(len(word)) for mult in _FD_MULTS]
 
 
+def _fd_response_matrix(oracle: ResponseOracle, base: GeneralizedInput,
+                        suffixes: Sequence[GeneralizedInput], h: float):
+    """Duration Jacobian of the responses to base extended by each suffix,
+    rows (suffix, output) over base's slots, by Richardson differences;
+    with the responses it was taken from."""
+    fd_words = _fd_words(base, h)
+    # suffix-major, as the rows: each perturbed base is integrated once,
+    # then continued along every suffix
+    vals = np.array(oracle.respond_many(
+        [concat(w, suf) for suf in suffixes for w in fd_words]))
+    derivs = _richardson(
+        vals.reshape(len(suffixes), len(base), len(_FD_MULTS), oracle.r), h)
+    return derivs.transpose(0, 2, 1).reshape(-1, len(base)), vals
+
+
+def _variational_response_matrix(oracle: SystemOracle,
+                                 base: GeneralizedInput,
+                                 suffixes: Sequence[GeneralizedInput],
+                                 tol: float):
+    """The same rows as _fd_response_matrix, exact: Dh(x_end) V from the
+    variational flow of base and each suffix; with the responses."""
+    sys = oracle.system
+    rows, vals = [], []
+    for x, v in sys.duration_sensitivities(oracle.x0, base, suffixes, tol):
+        h, dh = sys.readout_and_jacobian(x)
+        rows.append(dh @ v)
+        vals.append(h)
+    return np.vstack(rows), np.array(vals)
+
+
 def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
                             max_letters: Optional[int] = None,
                             count: int = 3,
@@ -395,18 +427,30 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
 
     Rows are duration-derivatives of the response at sampled base words
     extended by short suffix words (the derivative generators); the rank of
-    the per-word Jacobian, maximized over words, is the estimate.
+    the per-word Jacobian, maximized over words, is the estimate. A
+    SystemOracle gives exact derivatives from variational flows at
+    flow_tol; any other oracle has no field to differentiate, and gets
+    Richardson differences with step fd_step.
     """
     rng = np.random.default_rng(seed)
     if max_letters is None:
         sys = getattr(oracle, "system", None)
         max_letters = sys.n if sys is not None else 2
     k = max_letters
-    eff = oracle
-    if isinstance(oracle, SystemOracle):
-        eff = SystemOracle(oracle.system, x0=oracle.x0, tol=flow_tol)
     base_words, suffixes = response_plan(
         oracle.alphabet, k, depth, count, time_budget, rng)
+    suffix_words = [suf for suf, _name in suffixes]
+    if isinstance(oracle, SystemOracle):
+        method = "response-variational"
+
+        def jacobian(base):
+            return _variational_response_matrix(oracle, base, suffix_words,
+                                                flow_tol)
+    else:
+        method = "response-fd"
+
+        def jacobian(base):
+            return _fd_response_matrix(oracle, base, suffix_words, fd_step)
 
     words_done = []
     sv_evidence = []
@@ -418,12 +462,8 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
                   for _suf, suf_name in suffixes for j in range(oracle.r)]
     while wi < len(base_words):
         base = base_words[wi]
-        fd_words = _fd_words(base, fd_step)
         try:
-            # suffix-major, as the rows: each perturbed base is integrated
-            # once, then continued along every suffix
-            vals = np.array(eff.respond_many(
-                [concat(w, suf) for suf, _ in suffixes for w in fd_words]))
+            mat, vals = jacobian(base)
         except (DomainExit, BlowUp):
             attempts += 1
             if attempts > 10 * len(base_words):
@@ -431,10 +471,6 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
             base_words[wi] = response_plan(
                 oracle.alphabet, k, depth, 1, time_budget, rng)[0][0]
             continue
-        # (suffix, slot, mult, output) -> rows (suffix, output) over slots
-        derivs = _richardson(
-            vals.reshape(len(suffixes), k, len(_FD_MULTS), eff.r), fd_step)
-        mat = derivs.transpose(0, 2, 1).reshape(-1, k)
         if not np.all(np.isfinite(mat)):
             attempts += 1
             if attempts > 10 * len(base_words):
@@ -454,7 +490,7 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
         estimated_trdeg=best.rank, rank_tolerance=rank_tol,
         basis_indices=best.pivots, singular_values=tuple(sv_evidence),
         sample_points=tuple(words_done), gap=best.gap,
-        low_confidence=best.low_confidence, method="response-fd",
+        low_confidence=best.low_confidence, method=method,
         labels=tuple(row_labels[p] for p in best.pivots))
 
 
@@ -485,9 +521,16 @@ def tabulate_response_plan(oracle: ResponseOracle, depth: int = 2,
     return TableOracle.tabulate(oracle, plans)
 
 
+def _reachable_jacobian(sys, word: GeneralizedInput,
+                       tol: float) -> np.ndarray:
+    """Exact Jacobian of sys's terminal state after word from x0 with
+    respect to word's durations: rows coordinates, columns slots."""
+    empty = GeneralizedInput.empty(sys.alphabet)
+    return next(sys.duration_sensitivities(sys.x0, word, [empty], tol))[1]
+
+
 def estimate_reachable_trdeg(sys, max_letters: Optional[int] = None,
                              count: int = 4,
-                             fd_step: float = DEFAULT_FD_STEP,
                              rank_tol: float = DEFAULT_RANK_TOL,
                              seed=None,
                              time_budget: float = 1.0,
@@ -496,8 +539,8 @@ def estimate_reachable_trdeg(sys, max_letters: Optional[int] = None,
                              ) -> TranscendenceReport:
     """Transcendence degree of the coordinate functions on the reachable
     set: the generic rank of the terminal state's Jacobian with respect to
-    switching durations. Equals dim X exactly when the system is
-    semi-algebraically reachable."""
+    switching durations, exact from variational flows at flow_tol. Equals
+    dim X exactly when the system is semi-algebraically reachable."""
     rng = np.random.default_rng(seed)
     n = sys.n
     k = max_letters if max_letters is not None else n
@@ -512,15 +555,12 @@ def estimate_reachable_trdeg(sys, max_letters: Optional[int] = None,
         word = diverse_word(sys.alphabet, k,
                             rng.uniform(lo, hi, size=k), rng)
         try:
-            states = np.array(list(sys.terminal_states(
-                sys.x0, _fd_words(word, fd_step), flow_tol)))
+            mat = _reachable_jacobian(sys, word, flow_tol)
         except (DomainExit, BlowUp):
             attempts += 1
             if attempts > 10 * count:
                 raise
             continue
-        # rows are coordinates, columns durations
-        mat = _richardson(states.reshape(k, len(_FD_MULTS), n), fd_step).T
         if not np.all(np.isfinite(mat)):
             attempts += 1
             if attempts > 10 * count:
@@ -536,7 +576,7 @@ def estimate_reachable_trdeg(sys, max_letters: Optional[int] = None,
         estimated_trdeg=best.rank, rank_tolerance=rank_tol,
         basis_indices=best.pivots, singular_values=tuple(sv_evidence),
         sample_points=tuple(words_done), gap=best.gap,
-        low_confidence=best.low_confidence, method="reachable-fd",
+        low_confidence=best.low_confidence, method="reachable-variational",
         labels=tuple(f"x{i + 1}" for i in range(n)))
 
 
@@ -587,17 +627,19 @@ class PolynomialRelation:
         return self.newton_terms(T, z)[2]
 
     def grad_z(self, T: float, z) -> np.ndarray:
+        """dQ/dz at (T, z), from one power of every variable in every
+        term."""
         p = self._pts(T, z)
+        e = self._exponent_matrix
+        powers = p ** e
+        # the factor of z_j in d/dz_j: e * z_j^(e - 1), and exactly 0 where
+        # e = 0 (no z_j^-1 is formed)
+        factors = e[:, 1:] * p[1:] ** np.maximum(e[:, 1:] - 1.0, 0.0)
         d = p.size - 1
-        out = np.zeros(d)
-        for c, e in zip(self.coefficients, self.exponents):
-            for j in range(d):
-                if e[1 + j] == 0:
-                    continue
-                ex = list(e)
-                ex[1 + j] -= 1
-                out[j] += c * e[1 + j] * float(np.prod(p ** np.asarray(ex)))
-        return out
+        # per z_j, every term's powers with column 1 + j replaced
+        stack = np.broadcast_to(powers, (d,) + powers.shape).copy()
+        stack[np.arange(d), :, np.arange(1, d + 1)] = factors.T
+        return stack.prod(axis=2) @ np.asarray(self.coefficients)
 
     def mono_scale(self, T: float, z) -> float:
         return self.newton_terms(T, z)[1]

@@ -104,7 +104,7 @@ def cmd_analyze(args, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     oracle = SystemOracle(sys_, tol=cfg.flow_tol)
     reach = estimate_reachable_trdeg(
-        sys_, max_letters=sys_.n, count=4, fd_step=cfg.fd_step,
+        sys_, max_letters=sys_.n, count=4,
         rank_tol=cfg.rank_tol, seed=rng, time_budget=cfg.budget,
         flow_tol=cfg.fd_flow_tol, gap_factor=cfg.gap_factor)
     ctx = _ObsContext(sys_, cfg)

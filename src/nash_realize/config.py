@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, fields
 class RunConfig:
     seed: int = 0
     flow_tol: float = 1e-10
-    # flows behind finite-difference estimators need extra headroom
+    # the rank estimators' variational flows run tighter than flow_tol:
+    # the rank gaps are read against singular values near the flow error
     fd_flow_tol: float = 1e-12
     rank_tol: float = 1e-8
     gap_factor: float = 1e6

@@ -306,6 +306,36 @@ def stacked_evaluator(exprs: Sequence[NashExpr]):
     return evaluate
 
 
+def tangent_evaluator(exprs: Sequence[NashExpr]):
+    """x -> (values of exprs, their Jacobian, len(exprs) x nvars).
+
+    The distinct monomials of exprs and of all their partial derivatives
+    go into one exponent matrix, so one power-product gives them all; one
+    matrix product with the coefficients then gives every value and
+    partial derivative. Its sums run in the matrix product's order, so a
+    value may differ from eval_point's in the last bits.
+    """
+    nvars = exprs[0].nvars
+    rows = list(exprs) + [e.diff(j) for e in exprs for j in range(nvars)]
+    columns: dict = {}      # exponent vector -> monomial index
+    entries = [(i, columns.setdefault(exps, len(columns)), float(c))
+               for i, e in enumerate(rows) for c, exps in e.terms]
+    exps = np.array([[float(v) for v in ex] for ex in columns],
+                    dtype=float).reshape(len(columns), nvars)
+    coeffs = np.zeros((len(rows), len(columns)))
+    for i, k, c in entries:
+        coeffs[i, k] = c
+    m = len(exprs)
+
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            monos = np.power(x[None, :], exps).prod(axis=1)
+        out = coeffs @ monos
+        return out[:m], out[m:].reshape(m, nvars)
+
+    return evaluate
+
+
 def lie_derivative(field_exprs: Sequence[NashExpr], g: NashExpr) -> NashExpr:
     """Lie derivative of g along the vector field (sum_i f_i * dg/dx_i)."""
     if len(field_exprs) != g.nvars:

@@ -128,7 +128,7 @@ def check_minimality(sys, oracle: ResponseOracle,
 
     try:
         reach = estimate_reachable_trdeg(
-            sys, max_letters=n, count=4, fd_step=opts.fd_step,
+            sys, max_letters=n, count=4,
             rank_tol=opts.rank_tol, seed=rng, time_budget=opts.budget,
             flow_tol=opts.fd_flow_tol, gap_factor=opts.gap_factor)
         if isinstance(sys, (NashSystem, ReachReduced)):
@@ -224,10 +224,12 @@ class LocalIsomorphism:
                 warm[("b", j)] = out[j]
         return out
 
-    def forward_jacobian(self, x) -> np.ndarray:
-        """Exact implicit-differentiation Jacobian of the forward map."""
+    def forward_jacobian(self, x, y=None) -> np.ndarray:
+        """Exact implicit-differentiation Jacobian of the forward map at
+        x; y, when given, is forward(x), which spares the solves."""
         x = np.asarray(x, dtype=float)
-        return np.array([m.grad(x) for m in self.xi1])
+        return np.array([m.grad(x, q=None if y is None else y[j])
+                         for j, m in enumerate(self.xi1)])
 
     def to_json(self) -> dict:
         return {
@@ -371,8 +373,8 @@ def verify_isomorphism(iso: LocalIsomorphism, sys1, sys2,
                        rng=None, words: Optional[int] = None
                        ) -> IsomorphismReport:
     """Four checks on probed points near the base: round-trip, field
-    intertwining through the finite-difference Jacobian, readout match,
-    and trajectory intertwining over random words."""
+    intertwining through the exact Jacobian of the forward map, readout
+    match, and trajectory intertwining over random words."""
     opts = opts if opts is not None else RunConfig()
     rng = np.random.default_rng(opts.seed if rng is None else rng)
     n = iso.n
@@ -390,18 +392,12 @@ def verify_isomorphism(iso: LocalIsomorphism, sys1, sys2,
         try:
             y = iso.forward(x)
             back = iso.backward(y)
-            h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-            jac_fd = np.zeros((n, n))
-            for l in range(n):
-                e = np.zeros(n)
-                e[l] = h
-                jac_fd[:, l] = (iso.forward(x + e) - iso.forward(x - e)) \
-                    / (2.0 * h)
+            jac = iso.forward_jacobian(x, y)
             db = 0.0
             for li in range(nletters):
                 f1 = sys1.field_values(x, li)
                 f2 = sys2.field_values(y, li)
-                db = max(db, float(np.max(np.abs(jac_fd @ f1 - f2))))
+                db = max(db, float(np.max(np.abs(jac @ f1 - f2))))
             dc = float(np.max(np.abs(sys2.readout_values(y)
                                      - sys1.readout_values(x))))
         except (NewtonDiverged, DerivativeVanished, DomainViolation,

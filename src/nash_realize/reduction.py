@@ -23,14 +23,15 @@ from .config import RunConfig
 from .errors import (AlphabetMismatch, BlowUp, DerivativeVanished,
                      DomainExit, FitFailure, NewtonDiverged,
                      NoValidShiftInput, NotReachableInput)
-from .expr import lie_derivative, stacked_evaluator
+from .expr import lie_derivative, stacked_evaluator, tangent_evaluator
 from .analysis import (FuncGenerator, PolynomialRelation, TranscendenceReport,
                        estimate_reachable_trdeg, estimate_response_trdeg,
                        estimate_trdeg, fit_relation, generate_obs_algebra,
                        monomial_count, box_sampler)
 from .inputs import GeneralizedInput, concat, sample_inputs
 from .system import (DEFAULT_FLOW_TOL, Box, NashSystem, ResponseOracle,
-                     SystemOracle, shift_oracle, terminal_states)
+                     SystemOracle, duration_sensitivities, shift_oracle,
+                     terminal_states)
 
 NEWTON_MAX_ITER = 50
 
@@ -152,9 +153,11 @@ class LocalRealization:
     """Base for evaluator-backed reduced systems.
 
     Subclasses provide _rhs_session(warm) (per-integration closures whose
-    Newton continuation state lives in the dict `warm`) and
-    readout_values. Trajectories that push an implicit map off its branch
-    surface as DomainExit.
+    Newton continuation state lives in the dict `warm`), its variational
+    twin _tangent_session(warm) (per letter, z -> (f(z), Df(z)) from the
+    same Newton solves), readout_values and readout_and_jacobian.
+    Trajectories that push an implicit map off its branch surface as
+    DomainExit.
     """
 
     provenance: str
@@ -177,8 +180,23 @@ class LocalRealization:
     def _rhs_session(self, warm: dict):
         raise NotImplementedError
 
+    def _tangent_session(self, warm: dict):
+        raise NotImplementedError
+
     def readout_values(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _readout_and_jacobian(self, z: np.ndarray):
+        raise NotImplementedError
+
+    def readout_and_jacobian(self, z: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """h(z) and Dh(z), r x d; a Newton failure raises DomainExit, as
+        in respond."""
+        try:
+            return self._readout_and_jacobian(np.asarray(z, dtype=float))
+        except (NewtonDiverged, DerivativeVanished) as exc:
+            raise DomainExit(f"readout left the chart: {exc}") from exc
 
     def field_values(self, z, letter: int) -> np.ndarray:
         """f^V_alpha(z), one evaluation outside any integration."""
@@ -201,6 +219,19 @@ class LocalRealization:
     def terminal_state(self, z, u: GeneralizedInput,
                        tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
         return next(self.terminal_states(z, [u], tol))
+
+    def duration_sensitivities(self, z, u: GeneralizedInput,
+                               suffixes: Sequence[GeneralizedInput],
+                               tol: float = DEFAULT_FLOW_TOL):
+        """Terminal state and duration Jacobian of u, continued along each
+        suffix; see system.duration_sensitivities."""
+        for w in (u, *suffixes):
+            if w.alphabet != self.alphabet:
+                raise AlphabetMismatch("word alphabet differs from system")
+        return _chart_exits(duration_sensitivities(
+            self._rhs_session, self._tangent_session, self._box,
+            np.asarray(z, dtype=float), u.word, [s.word for s in suffixes],
+            tol))
 
     def respond(self, u: GeneralizedInput,
                 tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
@@ -274,6 +305,13 @@ class ReachReduced(LocalRealization):
         return tuple(stacked_evaluator([f[i] for i in self.basis_idx])
                      for f in self.parent.fields)
 
+    @cached_property
+    def _basis_tangent_kernels(self) -> tuple:
+        """Per letter, the basis rows of the parent's field and of its
+        Jacobian."""
+        return tuple(tangent_evaluator([f[i] for i in self.basis_idx])
+                     for f in self.parent.fields)
+
     def _rhs_session(self, warm: dict):
         def rhs_for_letter(li: int):
             kernel = self._basis_kernels[li]
@@ -285,8 +323,26 @@ class ReachReduced(LocalRealization):
 
         return rhs_for_letter
 
+    def _tangent_session(self, warm: dict):
+        def tangent(li: int):
+            kernel = self._basis_tangent_kernels[li]
+
+            def f(zz):
+                x = self.lift(zz, warm)
+                fx, jac = kernel(x)
+                return fx, jac @ self.lift_jacobian(zz, x)
+
+            return f
+
+        return tangent
+
     def readout_values(self, z: np.ndarray) -> np.ndarray:
         return self.parent.readout_values(self.lift(z))
+
+    def _readout_and_jacobian(self, z: np.ndarray):
+        x = self.lift(z)
+        h, dh = self.parent.readout_and_jacobian(x)
+        return h, dh @ self.lift_jacobian(z, x)
 
     def to_json(self) -> dict:
         return {
@@ -345,8 +401,27 @@ class ObsReduced(LocalRealization):
 
         return rhs_for_letter
 
+    def _tangent_session(self, warm: dict):
+        rhs_for_letter = self._rhs_session(warm)
+
+        def tangent(li: int):
+            row, rhs = self.maps_f[li], rhs_for_letter(li)
+
+            def f(zz):
+                out = rhs(0.0, zz)
+                return out, np.array([m.grad(zz, q=q)
+                                      for m, q in zip(row, out)])
+
+            return f
+
+        return tangent
+
     def readout_values(self, z: np.ndarray) -> np.ndarray:
         return np.array([m.solve(z) for m in self.maps_h])
+
+    def _readout_and_jacobian(self, z: np.ndarray):
+        h = self.readout_values(z)
+        return h, np.array([m.grad(z, q=q) for m, q in zip(self.maps_h, h)])
 
     def to_json(self) -> dict:
         data = {
@@ -588,7 +663,7 @@ def reachability_reduce(sys: NashSystem, oracle: ResponseOracle,
     rng = np.random.default_rng(opts.seed if rng is None else rng)
 
     reach = estimate_reachable_trdeg(
-        sys, max_letters=sys.n, count=4, fd_step=opts.fd_step,
+        sys, max_letters=sys.n, count=4,
         rank_tol=opts.rank_tol, seed=rng, time_budget=opts.budget,
         flow_tol=opts.fd_flow_tol, gap_factor=opts.gap_factor)
     d = reach.estimated_trdeg
@@ -620,7 +695,7 @@ def reachability_reduce(sys: NashSystem, oracle: ResponseOracle,
                        shift, radius)
 
     post = estimate_reachable_trdeg(
-        red, max_letters=d, count=4, fd_step=opts.fd_step,
+        red, max_letters=d, count=4,
         rank_tol=opts.rank_tol, seed=rng, time_budget=opts.budget,
         flow_tol=opts.fd_flow_tol, gap_factor=opts.gap_factor)
     if post.estimated_trdeg != d:
@@ -723,7 +798,7 @@ def observability_reduce(sys_like, oracle: ResponseOracle, epsilon: float,
     rng = np.random.default_rng(opts.seed if rng is None else rng)
 
     reach = estimate_reachable_trdeg(
-        sys_like, max_letters=sys_like.n, count=4, fd_step=opts.fd_step,
+        sys_like, max_letters=sys_like.n, count=4,
         rank_tol=opts.rank_tol, seed=rng, time_budget=opts.budget,
         flow_tol=opts.fd_flow_tol, gap_factor=opts.gap_factor)
     if reach.estimated_trdeg != sys_like.n:
@@ -773,7 +848,7 @@ def observability_reduce(sys_like, oracle: ResponseOracle, epsilon: float,
                      zbar, shift, radius)
 
     post_reach = estimate_reachable_trdeg(
-        red, max_letters=d, count=4, fd_step=opts.fd_step,
+        red, max_letters=d, count=4,
         rank_tol=opts.rank_tol, seed=rng, time_budget=opts.budget,
         flow_tol=opts.fd_flow_tol, gap_factor=opts.gap_factor)
     if post_reach.estimated_trdeg != d:

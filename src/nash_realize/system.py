@@ -20,7 +20,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import (AlphabetMismatch, ArityMismatch, BlowUp, DomainExit,
                      OffGrid)
-from .expr import ALL_REAL, POSITIVE_ORTHANT, NashExpr, stacked_evaluator
+from .expr import (ALL_REAL, POSITIVE_ORTHANT, NashExpr, stacked_evaluator,
+                   tangent_evaluator)
 from .inputs import GeneralizedInput, InputAlphabet, concat
 
 DEFAULT_FLOW_TOL = 1e-10
@@ -81,7 +82,9 @@ class Box:
 
     def contains(self, x: np.ndarray) -> bool:
         # isfinite rejects nan and +-inf, which a box without faces
-        # would otherwise let through
+        # would otherwise let through. The faces index the first n
+        # coordinates only, so contains and exit_event also serve a
+        # variational state (x, V) flattened after x.
         x = np.asarray(x, dtype=float)
         return bool(np.all(np.isfinite(x)) and np.all(self._margins(x) > 0))
 
@@ -166,6 +169,14 @@ class NashSystem:
     def _readout_kernel(self):
         return stacked_evaluator(self.readout)
 
+    @cached_property
+    def _tangent_kernels(self) -> tuple:
+        return tuple(tangent_evaluator(f) for f in self.fields)
+
+    @cached_property
+    def _readout_tangent_kernel(self):
+        return tangent_evaluator(self.readout)
+
     def rhs(self, letter: int) -> Callable[[float, np.ndarray], np.ndarray]:
         kernel = self._field_kernels[letter]
 
@@ -179,6 +190,15 @@ class NashSystem:
 
     def readout_values(self, x: np.ndarray) -> np.ndarray:
         return self._readout_kernel(x)
+
+    def readout_and_jacobian(self, x: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """h(x) and Dh(x), r x n."""
+        return self._readout_tangent_kernel(x)
+
+    def _tangent(self, letter: int):
+        """x -> (f(x), Df(x)) of the letter's field."""
+        return self._tangent_kernels[letter]
 
     def terminal_states(self, x: Sequence[float],
                         words: Sequence[GeneralizedInput],
@@ -195,6 +215,20 @@ class NashSystem:
     def terminal_state(self, x: Sequence[float], u: GeneralizedInput,
                        tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
         return next(self.terminal_states(x, [u], tol))
+
+    def duration_sensitivities(self, x: Sequence[float], u: GeneralizedInput,
+                               suffixes: Sequence[GeneralizedInput],
+                               tol: float = DEFAULT_FLOW_TOL
+                               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Terminal state and duration Jacobian of u, continued along each
+        suffix; see duration_sensitivities."""
+        for w in (u, *suffixes):
+            if w.alphabet != self.alphabet:
+                raise AlphabetMismatch(
+                    "word alphabet differs from system alphabet")
+        return duration_sensitivities(
+            lambda _warm: self.rhs, lambda _warm: self._tangent,
+            self.domain, x, u.word, [s.word for s in suffixes], tol)
 
     # -------------------------------------------------------------- serial
 
@@ -333,6 +367,53 @@ def terminal_states(rhs_session, box: Box, x, words, tol
 
         yield integrate_segments(rhs_session(warm), box, start, word[depth:],
                                  tol, save).terminal.copy()
+
+
+def _variational_rhs(tangent, n: int):
+    """f(t, (x, V)) = (f(x), Df(x) V), V flattened row-major after x."""
+    def f(_t, y):
+        fx, jac = tangent(y[:n])
+        return np.concatenate([fx, (jac @ y[n:].reshape(n, -1)).ravel()])
+
+    return f
+
+
+def duration_sensitivities(rhs_session, tangent_session, box: Box, x, word,
+                           suffixes, tol
+                           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(x_end, V) for word followed by each suffix, in order, where column
+    j of V is the exact derivative of x_end by the duration of word's
+    slot j (the variational equations).
+
+    word and the suffixes are (letter, duration) tuples.
+    rhs_session(warm) -> rhs_for_letter is the plain flow, as in
+    terminal_states; tangent_session(warm)(letter) -> g with
+    g(x) = (f(x), Df(x)) shares its warm starts. Every segment runs
+    through integrate_segments on the state (x, V): the columns evolve by
+    V' = Df(x) V, and at breakpoint j, in state x_j, V gains the column
+    f_{a_j}(x_j). The first segment has no column yet and flows x alone.
+    Each suffix continues all columns from word's terminal (x, V), with
+    the warm starts word ended with. Raises as integrate_segments does.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    warm: dict = {}
+    rhs, tangent = rhs_session(warm), tangent_session(warm)
+
+    def variational(session):
+        return lambda letter: _variational_rhs(session(letter), n)
+
+    y = x
+    for j, (letter, dur) in enumerate(word):
+        y = integrate_segments(variational(tangent) if j else rhs, box, y,
+                               [(letter, dur)], tol).terminal
+        v = np.column_stack([y[n:].reshape(n, j),
+                             rhs(letter)(0.0, y[:n])])
+        y = np.concatenate([y[:n], v.ravel()])
+    for suffix in suffixes:
+        end = integrate_segments(variational(tangent_session(dict(warm))),
+                                 box, y, suffix, tol).terminal
+        yield end[:n], end[n:].reshape(n, -1)
 
 
 def flow(sys: NashSystem, x: Sequence[float], u: GeneralizedInput,

@@ -5,21 +5,30 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nash_realize import catalog
-from nash_realize.analysis import (_CONST_FLOOR, _NOISE_FLOOR_TOL,
-                                   FuncGenerator, _rank_evidence, box_sampler,
-                                   estimate_reachable_trdeg,
+from nash_realize import analysis, catalog
+from nash_realize import system as system_module
+from nash_realize.analysis import (_CONST_FLOOR, _FD_MULTS, _NOISE_FLOOR_TOL,
+                                   FuncGenerator, PolynomialRelation,
+                                   _fd_response_matrix, _fd_words,
+                                   _rank_evidence, _reachable_jacobian,
+                                   _richardson, _variational_response_matrix,
+                                   box_sampler, estimate_reachable_trdeg,
                                    estimate_response_trdeg, estimate_trdeg,
                                    fit_relation, generate_obs_algebra,
-                                   monomial_count, tabulate_response_plan)
+                                   monomial_count, response_plan,
+                                   tabulate_response_plan)
 from nash_realize.errors import (DegenerateSamples, DomainExit,
                                  ExpressionBlowup, IllConditioned)
 from nash_realize.expr import ALL_REAL, NashExpr
-from nash_realize.system import Box, NashSystem, ResponseOracle, SystemOracle
+from nash_realize.inputs import GeneralizedInput
+from nash_realize.system import (Box, NashSystem, ResponseOracle,
+                                 SystemOracle, shift_oracle)
+from test_reduction import hand_charts
 
 LIN1 = catalog.load("SYS-LIN1")
 DIAG = catalog.load("SYS-DIAG")
 BILIN = catalog.load("SYS-BILIN")
+PL = catalog.load("SYS-PL")
 
 
 def var(i, n):
@@ -28,6 +37,10 @@ def var(i, n):
 
 def mono(c, exps):
     return NashExpr.monomial(c, exps)
+
+
+def word(sys, *pairs):
+    return GeneralizedInput.of(sys.alphabet, *pairs)
 
 
 def sampler_for(domain_n, center, radius, seed=0):
@@ -304,6 +317,49 @@ def test_relation_json_round_trip():
     assert back.exact_coefficients == rel.exact_coefficients
 
 
+def grad_z_by_terms(rel, T, z):
+    """dQ/dz term by term and variable by variable, with the absolute
+    sum of each partial derivative's terms."""
+    p = np.concatenate([[float(T)], np.asarray(z, dtype=float)])
+    d = p.size - 1
+    out, scale = np.zeros(d), np.zeros(d)
+    for c, e in zip(rel.coefficients, rel.exponents):
+        for j in range(d):
+            if e[1 + j] == 0:
+                continue
+            ex = list(e)
+            ex[1 + j] -= 1
+            term = c * e[1 + j] * float(np.prod(p ** np.asarray(ex)))
+            out[j] += term
+            scale[j] += abs(term)
+    return out, scale
+
+
+def test_grad_z_matches_term_by_term_derivative():
+    rng = np.random.default_rng(0)
+    for _ in range(10_000):
+        d = int(rng.integers(1, 4))
+        terms = int(rng.integers(1, 10))
+        exps = tuple(tuple(int(v) for v in rng.integers(0, 5, size=d + 1))
+                     for _ in range(terms))
+        coeffs = tuple(float(c) for c in rng.normal(size=terms))
+        rel = PolynomialRelation(exps, coeffs, 8, 4, 0.0)
+        pt = rng.choice([-1.0, 1.0], size=d + 1) * rng.uniform(
+            0.2, 3.0, size=d + 1)
+        pt[rng.uniform(size=d + 1) < 0.1] = 0.0
+        got = rel.grad_z(pt[0], pt[1:])
+        want, scale = grad_z_by_terms(rel, pt[0], pt[1:])
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_grad_z_zero_exponent_is_exact_at_zero():
+    # Q = T^2 + 3 z1 z2^2: no z1^-1 or 0 * inf where z1 = 0 or z2 = 0
+    rel = PolynomialRelation(((2, 0, 0), (0, 1, 2)), (1.0, 3.0), 3, 2, 0.0)
+    assert rel.grad_z(0.5, [0.0, 0.0]).tolist() == [0.0, 0.0]
+    assert rel.grad_z(0.5, [0.0, 2.0]).tolist() == [12.0, 0.0]
+    assert rel.grad_z(0.5, [2.0, 0.0]).tolist() == [0.0, 0.0]
+
+
 def test_monomial_count():
     # binomial(nv + d, d) monomials of total degree <= d
     assert monomial_count(2, 2) == 6
@@ -337,6 +393,141 @@ def test_response_trdeg_from_table_oracle():
     sys_rep = estimate_response_trdeg(o, seed=11, **kw)
     tab_rep = estimate_response_trdeg(table, seed=11, **kw)
     assert tab_rep.estimated_trdeg == sys_rep.estimated_trdeg == 1
+    # a table has no field: Richardson differences on stored grids
+    assert tab_rep.method == "response-fd"
+    assert sys_rep.method == "response-variational"
+
+
+def test_response_method_follows_the_oracle():
+    # shifting a simulated system moves its start state; it keeps a field
+    shifted = shift_oracle(SystemOracle(BILIN, tol=1e-12),
+                           word(BILIN, ("a0", 0.1), ("a1", 0.05)))
+    assert isinstance(shifted, SystemOracle)
+    rep = estimate_response_trdeg(shifted, depth=1, max_letters=2, count=1,
+                                  seed=0)
+    assert rep.method == "response-variational"
+    assert rep.estimated_trdeg == 2
+    # a shifted view answers word by word and has no field of its own
+    view = system_module._ShiftedOracle(SystemOracle(LIN1, tol=1e-12),
+                                        word(LIN1, ("a0", 0.1)))
+    rep = estimate_response_trdeg(view, depth=1, max_letters=1, count=1,
+                                  seed=0)
+    assert rep.method == "response-fd"
+    assert rep.estimated_trdeg == 1
+
+
+def richardson_reachable(sys, u, h=1e-3, tol=1e-12):
+    """The terminal state's duration Jacobian by 4-point Richardson
+    differences: rows coordinates, columns slots."""
+    states = np.array(list(sys.terminal_states(sys.x0, _fd_words(u, h),
+                                               tol)))
+    return _richardson(states.reshape(len(u), len(_FD_MULTS), sys.n),
+                       h).T
+
+
+def jacobian_cases():
+    reach, obs = hand_charts()
+    cases = [(name, catalog.load(name)) for name in catalog.names()]
+    return cases + [("reach-chart", reach), ("obs-chart", obs)]
+
+
+@pytest.mark.parametrize("name,sys", jacobian_cases(),
+                         ids=[c[0] for c in jacobian_cases()])
+def test_variational_jacobians_match_richardson(name, sys):
+    """Per base word, both estimators' exact matrices agree with the
+    Richardson matrices of the finite-difference path."""
+    oracle = SystemOracle(sys, tol=1e-12)
+    base_words, suffixes = response_plan(sys.alphabet, sys.n, 2, 3, 1.0,
+                                         np.random.default_rng(0))
+    suffix_words = [suf for suf, _name in suffixes]
+    compared = 0
+    for base in base_words:
+        try:
+            pairs = [
+                (_reachable_jacobian(sys, base, 1e-12),
+                 richardson_reachable(sys, base)),
+                (_variational_response_matrix(oracle, base, suffix_words,
+                                              1e-12)[0],
+                 _fd_response_matrix(oracle, base, suffix_words, 1e-3)[0])]
+        except DomainExit:
+            continue
+        for exact, fd in pairs:
+            assert exact.shape == fd.shape
+            assert np.max(np.abs(exact - fd)) <= 1e-9 * np.max(np.abs(fd))
+        compared += 1
+    assert compared >= 2, name
+
+
+def record_solve_ivp(monkeypatch):
+    calls = []
+    real = system_module.solve_ivp
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(system_module, "solve_ivp", recording)
+    return calls
+
+
+def test_response_base_word_takes_one_flow_per_segment(monkeypatch):
+    # SYS-BILIN, k = 2 letters, depth 2: 2 letters x 2 draws suffixes of
+    # length 1 and 8 of length 2, so 20 suffix segments
+    oracle = SystemOracle(BILIN, tol=1e-12)
+    calls = record_solve_ivp(monkeypatch)
+    rep = estimate_response_trdeg(oracle, depth=2, max_letters=2, count=1,
+                                  seed=0)
+    assert len(rep.sample_points) == 1
+    assert len(calls) == 2 + 20
+    # the same base word by Richardson differences: 4 nodes for each of
+    # the k slots make 8 perturbed words. Slot 0's four take 2 segments
+    # each, slot 1's share their unperturbed first one (8 + 1 + 4 = 13),
+    # and each word is continued along every suffix (8 x 20)
+    base, suffixes = response_plan(BILIN.alphabet, 2, 2, 1, 1.0,
+                                   np.random.default_rng(0))
+    calls.clear()
+    _fd_response_matrix(oracle, base[0], [s for s, _ in suffixes], 1e-3)
+    assert len(calls) == 13 + 8 * 20
+
+
+def test_variational_flow_leaving_the_orthant_raises():
+    # a1 is x' = -sqrt(x): from x = 1 it reaches x = 0 at t = 2
+    ok = word(PL, ("a0", 0.1))
+    leaves = word(PL, ("a0", 0.1), ("a1", 3.0))
+    empty = GeneralizedInput.empty(PL.alphabet)
+    with pytest.raises(DomainExit):
+        list(PL.duration_sensitivities(PL.x0, leaves, [empty], 1e-12))
+    # a suffix that leaves from the base word's terminal (x, V)
+    with pytest.raises(DomainExit):
+        list(PL.duration_sensitivities(
+            PL.x0, ok, [empty, word(PL, ("a1", 3.0))], 1e-12))
+
+
+def test_estimators_redraw_base_words_that_leave(monkeypatch):
+    # durations in [2, 10]: an a1 base word runs SYS-PL out of its orthant
+    raised = []
+    for name in ("_reachable_jacobian", "_variational_response_matrix"):
+        real = getattr(analysis, name)
+
+        def recording(*args, real=real, name=name):
+            try:
+                return real(*args)
+            except DomainExit:
+                raised.append(name)
+                raise
+
+        monkeypatch.setattr(analysis, name, recording)
+    reach = estimate_reachable_trdeg(PL, max_letters=1, count=3, seed=0,
+                                     time_budget=20.0)
+    assert "_reachable_jacobian" in raised
+    resp = estimate_response_trdeg(SystemOracle(PL, tol=1e-12), depth=1,
+                                   max_letters=1, count=3, seed=0,
+                                   time_budget=20.0)
+    assert "_variational_response_matrix" in raised
+    for rep in (reach, resp):
+        assert rep.estimated_trdeg == 1
+        assert len(rep.sample_points) == 3
+        assert all(w[0][0] == "a0" for w in rep.sample_points)
 
 
 def test_reachable_trdeg_catalog_values():
@@ -345,7 +536,7 @@ def test_reachable_trdeg_catalog_values():
         rep = estimate_reachable_trdeg(sys, max_letters=sys.n, count=3,
                                        seed=0)
         assert rep.estimated_trdeg == want, name
-        assert rep.method == "reachable-fd"
+        assert rep.method == "reachable-variational"
 
 
 def test_reachable_trdeg_labels_are_coordinates():

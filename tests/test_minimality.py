@@ -99,6 +99,24 @@ def test_isomorphism_between_charts(cfg, chart_pair):
     assert rep.trajectory_dev <= 1e-6
 
 
+def test_forward_jacobian_matches_centred_difference(cfg, chart_pair):
+    sys1, sys2, iso = chart_pair
+    for x in (0.8, 1.0, 1.3):
+        x = np.array([x])
+        y = iso.forward(x)
+        exact = iso.forward_jacobian(x, y)
+        assert exact.tobytes() == iso.forward_jacobian(x).tobytes()
+        h = 1e-5
+        centred = (iso.forward(x + h) - iso.forward(x - h)) / (2.0 * h)
+        assert exact[:, 0] == pytest.approx(centred, abs=1e-7)
+        # y = x^3
+        assert exact[0, 0] == pytest.approx(3.0 * x[0] ** 2, rel=1e-8)
+    rep = verify_isomorphism(iso, sys1, sys2, trials=30, tol=1e-6, opts=cfg,
+                             rng=np.random.default_rng(28), words=10)
+    assert rep.passed
+    assert rep.intertwining_dev <= 1e-9
+
+
 def test_isomorphism_identity_pair(cfg):
     sys = catalog.build("SYS-LIN1")
     iso = construct_isomorphism(sys, sys, SystemOracle(sys), 0.05, cfg,

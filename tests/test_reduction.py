@@ -397,6 +397,8 @@ def test_flows_build_no_dense_output(monkeypatch):
         system_module.flow(sys_, sys_.x0, words[0], 1e-10)
         list(sys_.terminal_states(sys_.x0, words, 1e-10))
         SystemOracle(sys_, tol=1e-10).respond_many(words)
+        list(sys_.duration_sensitivities(sys_.x0, words[0], words[1:3],
+                                         1e-10))
         assert calls
         assert all(not kw.get("dense_output", False) for kw in calls)
         assert all(kw["events"] is sys_.domain.exit_event for kw in calls)
@@ -404,7 +406,9 @@ def test_flows_build_no_dense_output(monkeypatch):
     assert bilin.domain.exit_event is None
     for red in hand_charts():
         calls.clear()
-        list(red.terminal_states(red.x0, chart_words(red.alphabet), 1e-10))
+        words = chart_words(red.alphabet)
+        list(red.terminal_states(red.x0, words, 1e-10))
+        list(red.duration_sensitivities(red.x0, words[0], words[1:3], 1e-10))
         assert calls
         assert all(not kw.get("dense_output", False) for kw in calls)
         assert all(kw["events"] is None for kw in calls)

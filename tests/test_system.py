@@ -334,6 +334,29 @@ def test_stacked_fields_match_eval_point_on_catalog():
             assert sys.readout_values(x).tobytes() == want.tobytes(), name
 
 
+def test_tangent_kernels_match_eval_point_on_catalog():
+    # matrix-product sums: equal to the per-expression sums up to rounding
+    rng = np.random.default_rng(1)
+    for name in catalog.names():
+        sys = catalog.load(name)
+        x0 = np.asarray(sys.x0, dtype=float)
+        for _ in range(20):
+            x = x0 * np.exp(rng.normal(size=sys.n))
+            groups = [(sys._tangent(li), f)
+                      for li, f in enumerate(sys.fields)]
+            groups.append((sys.readout_and_jacobian, sys.readout))
+            for kernel, exprs in groups:
+                values, jac = kernel(x)
+                want = np.array([e.eval_point(x) for e in exprs])
+                want_jac = np.array([[e.diff(j).eval_point(x)
+                                      for j in range(sys.n)]
+                                     for e in exprs])
+                scale = 1e-14 * (1.0 + np.max(np.abs(want_jac)))
+                assert np.max(np.abs(values - want)) <= scale, name
+                assert jac.shape == want_jac.shape
+                assert np.max(np.abs(jac - want_jac)) <= scale, name
+
+
 def shared_prefix_words(sys):
     """Words shaped like the finite-difference words of the estimators:
     one base word, each slot moved both ways, then a few suffixes."""

@@ -1,6 +1,6 @@
 """Write the CLI reports of one checkout for a byte-for-byte comparison.
 
-    python3 tools/cli_reports.py DIR [--seed N]
+    python3 tools/cli_reports.py DIR [--seed N] [--against OTHER_DIR]
 
 runs `analyze`, `reduce-reach`, `reduce-obs` and `minimize` on every
 catalog system, and `compare SYS-LIN1 SYS-CUBE`, with the package under
@@ -8,11 +8,19 @@ this checkout's `src/`, each in its own process. Each report goes to
 DIR/<command>-<system>.json without its `elapsed_seconds` line, the one
 field that changes from run to run. Run it in two checkouts with the same
 seed; `diff -r DIR1 DIR2` then lists every report that differs.
+
+With `--against OTHER_DIR`, the reports of another checkout written the
+same way, it then prints every JSON leaf that differs, as
+`report: path: old -> new` with OTHER_DIR's value first. A leaf whose
+key is one of the answers (`verdict`, `dimension`, `estimated_trdeg`,
+`passed`, `reachable`, `observable`) is flagged with `!`, and the exit
+code is 1 when any is, or when a report is missing on either side.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +29,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ("analyze", "reduce-reach", "reduce-obs", "minimize")
 COMPARE = ("SYS-LIN1", "SYS-CUBE")
+ANSWERS = frozenset(("verdict", "dimension", "estimated_trdeg", "passed",
+                     "reachable", "observable"))
+_MISSING = "<missing>"
 
 
 def catalog_names() -> list[str]:
@@ -43,10 +54,52 @@ def report(args: list[str], seed: int) -> str:
                    if '"elapsed_seconds":' not in line)
 
 
+def leaf_diffs(old, new, path="", key=None):
+    """(path, old, new, key) for every leaf where two JSON values differ;
+    key is the nearest dict key above the leaf. A leaf present on one side
+    only reads <missing> on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for k in sorted(old.keys() | new.keys()):
+            yield from leaf_diffs(old.get(k, _MISSING), new.get(k, _MISSING),
+                                  f"{path}.{k}" if path else k, k)
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from leaf_diffs(old[i] if i < len(old) else _MISSING,
+                                  new[i] if i < len(new) else _MISSING,
+                                  f"{path}[{i}]", key)
+    elif old != new or type(old) is not type(new):
+        yield path, old, new, key
+
+
+def compare_dirs(old_dir: Path, new_dir: Path) -> int:
+    """Print the leaves that move from old_dir's reports to new_dir's;
+    1 if an answer moves or a report is missing, else 0."""
+    status = 0
+    names = sorted({p.name for p in old_dir.glob("*.json")}
+                   | {p.name for p in new_dir.glob("*.json")})
+    for name in names:
+        sides = [d / name for d in (old_dir, new_dir)]
+        if not all(p.exists() for p in sides):
+            print(f"! {name}: only in {[p for p in sides if p.exists()][0]}")
+            status = 1
+            continue
+        old, new = (json.loads(p.read_text(encoding="utf-8"))
+                    for p in sides)
+        for path, a, b, key in leaf_diffs(old, new):
+            flag = "!" if key in ANSWERS else " "
+            status = 1 if flag == "!" else status
+            print(f"{flag} {name}: {path}: {json.dumps(a)} -> "
+                  f"{json.dumps(b)}")
+    return status
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("dir", type=Path, help="directory for the reports")
     p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--against", type=Path, default=None,
+                   metavar="OTHER_DIR",
+                   help="print the fields that differ from these reports")
     args = p.parse_args(argv)
     args.dir.mkdir(parents=True, exist_ok=True)
     runs = [[cmd, name] for cmd in COMMANDS for name in catalog_names()]
@@ -55,7 +108,8 @@ def main(argv=None) -> int:
         path = args.dir / ("-".join(run) + ".json")
         path.write_text(report(run, args.seed), encoding="utf-8")
         print(path, file=sys.stderr)
-    return 0
+    return 0 if args.against is None else compare_dirs(args.against,
+                                                       args.dir)
 
 
 if __name__ == "__main__":

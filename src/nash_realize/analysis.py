@@ -389,10 +389,9 @@ def _fd_response_matrix(oracle: ResponseOracle, base: GeneralizedInput,
     rows (suffix, output) over base's slots, by Richardson differences;
     with the responses it was taken from."""
     fd_words = _fd_words(base, h)
-    # suffix-major, as the rows: each perturbed base is integrated once,
-    # then continued along every suffix
-    vals = np.array(oracle.respond_many(
-        [concat(w, suf) for suf in suffixes for w in fd_words]))
+    # suffix-major, as the rows
+    vals = np.array([oracle.respond(concat(w, suf))
+                     for suf in suffixes for w in fd_words])
     derivs = _richardson(
         vals.reshape(len(suffixes), len(base), len(_FD_MULTS), oracle.r), h)
     return derivs.transpose(0, 2, 1).reshape(-1, len(base)), vals
@@ -411,6 +410,50 @@ def _variational_response_matrix(oracle: SystemOracle,
         rows.append(dh @ v)
         vals.append(h)
     return np.vstack(rows), np.array(vals)
+
+
+def _best_word_rank(first_words, count: int, redraw, jacobian,
+                    nonfinite: str, rank_tol: float, gap_factor: float,
+                    method: str) -> TranscendenceReport:
+    """Rank evidence of jacobian(word) -> (mat, scale) over count words,
+    the best kept, as a report without labels.
+
+    first_words yields the words in turn. A word whose flow raises
+    DomainExit or BlowUp, or whose matrix is not finite (BlowUp with the
+    message nonfinite), is replaced by redraw(); after 10 * count
+    replacements the next such failure is raised. A matrix counts as
+    constant when no row exceeds _CONST_FLOOR times the largest scale
+    seen so far (at least 1).
+    """
+    words_done = []
+    sv_evidence = []
+    best = None
+    attempts = 0
+    scale = 1.0
+    for word in first_words:
+        while True:
+            try:
+                mat, word_scale = jacobian(word)
+                if np.all(np.isfinite(mat)):
+                    break
+                failure = BlowUp(nonfinite)
+            except (DomainExit, BlowUp) as exc:
+                failure = exc
+            attempts += 1
+            if attempts > 10 * count:
+                raise failure
+            word = redraw()
+        scale = max(scale, word_scale)
+        ev = _rank_evidence(mat, _CONST_FLOOR * scale, rank_tol, gap_factor)
+        sv_evidence.append(ev.singular_values)
+        words_done.append(tuple(word.to_json()))
+        if best is None or ev.rank > best.rank:
+            best = ev
+    return TranscendenceReport(
+        estimated_trdeg=best.rank, rank_tolerance=rank_tol,
+        basis_indices=best.pivots, singular_values=tuple(sv_evidence),
+        sample_points=tuple(words_done), gap=best.gap,
+        low_confidence=best.low_confidence, method=method)
 
 
 def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
@@ -440,58 +483,28 @@ def estimate_response_trdeg(oracle: ResponseOracle, depth: int = 2,
     base_words, suffixes = response_plan(
         oracle.alphabet, k, depth, count, time_budget, rng)
     suffix_words = [suf for suf, _name in suffixes]
-    if isinstance(oracle, SystemOracle):
-        method = "response-variational"
+    exact = isinstance(oracle, SystemOracle)
 
-        def jacobian(base):
-            return _variational_response_matrix(oracle, base, suffix_words,
-                                                flow_tol)
-    else:
-        method = "response-fd"
+    def jacobian(base):
+        mat, vals = (
+            _variational_response_matrix(oracle, base, suffix_words, flow_tol)
+            if exact else
+            _fd_response_matrix(oracle, base, suffix_words, fd_step))
+        return mat, float(np.max(np.abs(vals)))
 
-        def jacobian(base):
-            return _fd_response_matrix(oracle, base, suffix_words, fd_step)
+    def redraw():
+        return response_plan(oracle.alphabet, k, depth, 1, time_budget,
+                             rng)[0][0]
 
-    words_done = []
-    sv_evidence = []
-    best = None
-    attempts = 0
-    wi = 0
-    response_scale = 1.0
+    report = _best_word_rank(base_words, len(base_words), redraw, jacobian,
+                             "nonfinite responses while estimating trdeg",
+                             rank_tol, gap_factor,
+                             "response-variational" if exact
+                             else "response-fd")
     row_labels = [f"p{j}|{suf_name}"
                   for _suf, suf_name in suffixes for j in range(oracle.r)]
-    while wi < len(base_words):
-        base = base_words[wi]
-        try:
-            mat, vals = jacobian(base)
-        except (DomainExit, BlowUp):
-            attempts += 1
-            if attempts > 10 * len(base_words):
-                raise
-            base_words[wi] = response_plan(
-                oracle.alphabet, k, depth, 1, time_budget, rng)[0][0]
-            continue
-        if not np.all(np.isfinite(mat)):
-            attempts += 1
-            if attempts > 10 * len(base_words):
-                raise BlowUp("nonfinite responses while estimating trdeg")
-            base_words[wi] = response_plan(
-                oracle.alphabet, k, depth, 1, time_budget, rng)[0][0]
-            continue
-        response_scale = max(response_scale, float(np.max(np.abs(vals))))
-        ev = _rank_evidence(mat, _CONST_FLOOR * response_scale, rank_tol,
-                            gap_factor)
-        sv_evidence.append(ev.singular_values)
-        words_done.append(tuple(base.to_json()))
-        if best is None or ev.rank > best.rank:
-            best = ev
-        wi += 1
-    return TranscendenceReport(
-        estimated_trdeg=best.rank, rank_tolerance=rank_tol,
-        basis_indices=best.pivots, singular_values=tuple(sv_evidence),
-        sample_points=tuple(words_done), gap=best.gap,
-        low_confidence=best.low_confidence, method=method,
-        labels=tuple(row_labels[p] for p in best.pivots))
+    return replace(report, labels=tuple(row_labels[p]
+                                        for p in report.basis_indices))
 
 
 def tabulate_response_plan(oracle: ResponseOracle, depth: int = 2,
@@ -501,8 +514,9 @@ def tabulate_response_plan(oracle: ResponseOracle, depth: int = 2,
     """Tabulate `oracle` on grids that exactly cover the probe words of
     estimate_response_trdeg run with the same seed and parameters.
 
-    Base-word slots get the five finite-difference nodes, suffix slots are
-    singletons, so the estimator hits stored values and never interpolates.
+    Base-word slots get the base duration and its _FD_MULTS nodes, suffix
+    slots are singletons, so the estimator hits stored values and never
+    interpolates.
     """
     from .system import TableOracle
     rng = np.random.default_rng(seed)
@@ -514,7 +528,7 @@ def tabulate_response_plan(oracle: ResponseOracle, depth: int = 2,
         durs = base.durations()
         for suf, _name in suffixes:
             seq = names + suf.letter_names()
-            axes = [sorted([t + m * fd_step for m in (-2, -1, 1, 2)] + [t])
+            axes = [sorted([t + m * fd_step for m in _FD_MULTS] + [t])
                     for t in durs]
             axes += [[t] for t in suf.durations()]
             plans.append((seq, axes))
@@ -546,38 +560,16 @@ def estimate_reachable_trdeg(sys, max_letters: Optional[int] = None,
     k = max_letters if max_letters is not None else n
     lo, hi = 0.1 * time_budget / k, 0.5 * time_budget / k
 
-    words_done = []
-    sv_evidence = []
-    best = None
-    attempts = 0
-    done = 0
-    while done < count:
-        word = diverse_word(sys.alphabet, k,
-                            rng.uniform(lo, hi, size=k), rng)
-        try:
-            mat = _reachable_jacobian(sys, word, flow_tol)
-        except (DomainExit, BlowUp):
-            attempts += 1
-            if attempts > 10 * count:
-                raise
-            continue
-        if not np.all(np.isfinite(mat)):
-            attempts += 1
-            if attempts > 10 * count:
-                raise BlowUp("nonfinite states while estimating trdeg")
-            continue
-        ev = _rank_evidence(mat, _CONST_FLOOR, rank_tol, gap_factor)
-        sv_evidence.append(ev.singular_values)
-        words_done.append(tuple(word.to_json()))
-        if best is None or ev.rank > best.rank:
-            best = ev
-        done += 1
-    return TranscendenceReport(
-        estimated_trdeg=best.rank, rank_tolerance=rank_tol,
-        basis_indices=best.pivots, singular_values=tuple(sv_evidence),
-        sample_points=tuple(words_done), gap=best.gap,
-        low_confidence=best.low_confidence, method="reachable-variational",
-        labels=tuple(f"x{i + 1}" for i in range(n)))
+    def draw():
+        return diverse_word(sys.alphabet, k, rng.uniform(lo, hi, size=k),
+                            rng)
+
+    report = _best_word_rank(
+        (draw() for _ in range(count)), count, draw,
+        lambda word: (_reachable_jacobian(sys, word, flow_tol), 1.0),
+        "nonfinite states while estimating trdeg", rank_tol, gap_factor,
+        "reachable-variational")
+    return replace(report, labels=tuple(f"x{i + 1}" for i in range(n)))
 
 
 # --------------------------------------------------------- relation fitting

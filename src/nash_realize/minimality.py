@@ -204,25 +204,13 @@ class LocalIsomorphism:
     def n(self) -> int:
         return len(self.xi1)
 
-    def forward(self, x, warm: Optional[dict] = None) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty(self.n)
-        for j, m in enumerate(self.xi1):
-            q0 = warm.get(("f", j)) if warm is not None else None
-            out[j] = m.solve(x, q0=q0)
-            if warm is not None:
-                warm[("f", j)] = out[j]
-        return out
+        return np.array([m.solve(x) for m in self.xi1])
 
-    def backward(self, y, warm: Optional[dict] = None) -> np.ndarray:
+    def backward(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        out = np.empty(self.n)
-        for j, m in enumerate(self.xi2):
-            q0 = warm.get(("b", j)) if warm is not None else None
-            out[j] = m.solve(y, q0=q0)
-            if warm is not None:
-                warm[("b", j)] = out[j]
-        return out
+        return np.array([m.solve(y) for m in self.xi2])
 
     def forward_jacobian(self, x, y=None) -> np.ndarray:
         """Exact implicit-differentiation Jacobian of the forward map at

@@ -30,8 +30,8 @@ from .analysis import (FuncGenerator, PolynomialRelation, TranscendenceReport,
                        monomial_count, box_sampler)
 from .inputs import GeneralizedInput, concat, sample_inputs
 from .system import (DEFAULT_FLOW_TOL, Box, NashSystem, ResponseOracle,
-                     SystemOracle, duration_sensitivities, shift_oracle,
-                     terminal_states)
+                     SystemOracle, duration_sensitivities, integrate_segments,
+                     shift_oracle)
 
 NEWTON_MAX_ITER = 50
 
@@ -152,12 +152,13 @@ def probe_radius(m: ImplicitMap, rng: np.random.Generator,
 class LocalRealization:
     """Base for evaluator-backed reduced systems.
 
-    Subclasses provide _rhs_session(warm) (per-integration closures whose
-    Newton continuation state lives in the dict `warm`), its variational
-    twin _tangent_session(warm) (per letter, z -> (f(z), Df(z)) from the
-    same Newton solves), readout_values and readout_and_jacobian.
-    Trajectories that push an implicit map off its branch surface as
-    DomainExit.
+    Subclasses provide _session(warm) -> (rhs_for_letter, tangent), the
+    closures of one integration: the field per letter and, per letter,
+    z -> (f(z), Df(z)) from the same Newton solves, whose continuation
+    state lives in the dict `warm`; and readout_values and
+    readout_and_jacobian. Each flow starts a fresh session, so no warm
+    start passes from one flow to the next. Trajectories that push an
+    implicit map off its branch surface as DomainExit.
     """
 
     provenance: str
@@ -177,10 +178,7 @@ class LocalRealization:
         # a chart is all of R^d: no exit event, only finite end states
         return Box.unbounded(self.dimension)
 
-    def _rhs_session(self, warm: dict):
-        raise NotImplementedError
-
-    def _tangent_session(self, warm: dict):
+    def _session(self, warm: dict):
         raise NotImplementedError
 
     def readout_values(self, z: np.ndarray) -> np.ndarray:
@@ -200,25 +198,20 @@ class LocalRealization:
 
     def field_values(self, z, letter: int) -> np.ndarray:
         """f^V_alpha(z), one evaluation outside any integration."""
-        rhs = self._rhs_session({})(letter)
+        rhs = self._session({})[0](letter)
         return np.asarray(rhs(0.0, np.asarray(z, dtype=float)))
-
-    def terminal_states(self, z, words: Sequence[GeneralizedInput],
-                        tol: float = DEFAULT_FLOW_TOL):
-        """Terminal state of each word from z, in order, every shared
-        prefix integrated once; each segment resumes the Newton warm
-        starts its breakpoint had in the word integrated whole."""
-        for u in words:
-            if u.alphabet != self.alphabet:
-                raise AlphabetMismatch("word alphabet differs from system")
-        states = terminal_states(self._rhs_session, self._box,
-                                 np.asarray(z, dtype=float),
-                                 [u.word for u in words], tol)
-        return _chart_exits(states)
 
     def terminal_state(self, z, u: GeneralizedInput,
                        tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
-        return next(self.terminal_states(z, [u], tol))
+        """Terminal state of u from z: one flow on a fresh session."""
+        if u.alphabet != self.alphabet:
+            raise AlphabetMismatch("word alphabet differs from system")
+        try:
+            return integrate_segments(self._session({})[0], self._box,
+                                      np.asarray(z, dtype=float), u.word,
+                                      tol).terminal
+        except (NewtonDiverged, DerivativeVanished) as exc:
+            raise DomainExit(_CHART_EXIT.format(exc)) from exc
 
     def duration_sensitivities(self, z, u: GeneralizedInput,
                                suffixes: Sequence[GeneralizedInput],
@@ -229,9 +222,8 @@ class LocalRealization:
             if w.alphabet != self.alphabet:
                 raise AlphabetMismatch("word alphabet differs from system")
         return _chart_exits(duration_sensitivities(
-            self._rhs_session, self._tangent_session, self._box,
-            np.asarray(z, dtype=float), u.word, [s.word for s in suffixes],
-            tol))
+            self._session, self._box, np.asarray(z, dtype=float), u.word,
+            [s.word for s in suffixes], tol))
 
     def respond(self, u: GeneralizedInput,
                 tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
@@ -248,13 +240,15 @@ class LocalRealization:
         raise NotImplementedError
 
 
+_CHART_EXIT = "trajectory left the chart validity region: {}"
+
+
 def _chart_exits(states):
     """states, with a Newton failure of the chart raised as DomainExit."""
     try:
         yield from states
     except (NewtonDiverged, DerivativeVanished) as exc:
-        raise DomainExit(
-            f"trajectory left the chart validity region: {exc}") from exc
+        raise DomainExit(_CHART_EXIT.format(exc)) from exc
 
 
 class ReachReduced(LocalRealization):
@@ -312,7 +306,7 @@ class ReachReduced(LocalRealization):
         return tuple(tangent_evaluator([f[i] for i in self.basis_idx])
                      for f in self.parent.fields)
 
-    def _rhs_session(self, warm: dict):
+    def _session(self, warm: dict):
         def rhs_for_letter(li: int):
             kernel = self._basis_kernels[li]
 
@@ -321,20 +315,17 @@ class ReachReduced(LocalRealization):
 
             return f
 
-        return rhs_for_letter
-
-    def _tangent_session(self, warm: dict):
         def tangent(li: int):
             kernel = self._basis_tangent_kernels[li]
 
-            def f(zz):
+            def g(zz):
                 x = self.lift(zz, warm)
                 fx, jac = kernel(x)
                 return fx, jac @ self.lift_jacobian(zz, x)
 
-            return f
+            return g
 
-        return tangent
+        return rhs_for_letter, tangent
 
     def readout_values(self, z: np.ndarray) -> np.ndarray:
         return self.parent.readout_values(self.lift(z))
@@ -385,7 +376,7 @@ class ObsReduced(LocalRealization):
         self.stages = tuple(stages)
         self.dimension = len(self.maps_f[0]) if self.maps_f else len(x0)
 
-    def _rhs_session(self, warm: dict):
+    def _session(self, warm: dict):
         def rhs_for_letter(li: int):
             row = self.maps_f[li]
 
@@ -399,22 +390,17 @@ class ObsReduced(LocalRealization):
 
             return f
 
-        return rhs_for_letter
-
-    def _tangent_session(self, warm: dict):
-        rhs_for_letter = self._rhs_session(warm)
-
         def tangent(li: int):
             row, rhs = self.maps_f[li], rhs_for_letter(li)
 
-            def f(zz):
+            def g(zz):
                 out = rhs(0.0, zz)
                 return out, np.array([m.grad(zz, q=q)
                                       for m, q in zip(row, out)])
 
-            return f
+            return g
 
-        return tangent
+        return rhs_for_letter, tangent
 
     def readout_values(self, z: np.ndarray) -> np.ndarray:
         return np.array([m.solve(z) for m in self.maps_h])

@@ -200,21 +200,9 @@ class NashSystem:
         """x -> (f(x), Df(x)) of the letter's field."""
         return self._tangent_kernels[letter]
 
-    def terminal_states(self, x: Sequence[float],
-                        words: Sequence[GeneralizedInput],
-                        tol: float = DEFAULT_FLOW_TOL) -> Iterator[np.ndarray]:
-        """Terminal state of each word from x, in order; see
-        terminal_states."""
-        for u in words:
-            if u.alphabet != self.alphabet:
-                raise AlphabetMismatch(
-                    "word alphabet differs from system alphabet")
-        return terminal_states(lambda _warm: self.rhs, self.domain, x,
-                               [u.word for u in words], tol)
-
     def terminal_state(self, x: Sequence[float], u: GeneralizedInput,
                        tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
-        return next(self.terminal_states(x, [u], tol))
+        return flow(self, x, u, tol).terminal
 
     def duration_sensitivities(self, x: Sequence[float], u: GeneralizedInput,
                                suffixes: Sequence[GeneralizedInput],
@@ -227,8 +215,8 @@ class NashSystem:
                 raise AlphabetMismatch(
                     "word alphabet differs from system alphabet")
         return duration_sensitivities(
-            lambda _warm: self.rhs, lambda _warm: self._tangent,
-            self.domain, x, u.word, [s.word for s in suffixes], tol)
+            lambda _warm: (self.rhs, self._tangent), self.domain, x, u.word,
+            [s.word for s in suffixes], tol)
 
     # -------------------------------------------------------------- serial
 
@@ -282,17 +270,17 @@ def _integrate(fun, x, dur, tol, **kwargs):
                      atol=tol, **kwargs)
 
 
-def integrate_segments(rhs_for_letter, box: Box, x, word, tol,
-                       on_breakpoint=None):
-    """Shared segment-by-segment integrator.
+def integrate_segments(rhs_for_letter, box: Box, x, word, tol):
+    """Shared segment-by-segment integrator: one flow of word from x.
 
-    rhs_for_letter(i) -> f(t, y). Raises DomainExit when the trajectory
-    leaves the open box: the box's exit event stops the integration at a
-    face or positivity constraint. Crossings are seen at accepted steps,
-    so an excursion that leaves and re-enters within one step goes
-    unseen. Raises BlowUp on integrator failure with the trajectory still
-    inside, and on a nonfinite end state. on_breakpoint(j, x), when given,
-    sees the state x after each segment j (0-based) as it is reached.
+    rhs_for_letter(i) -> f(t, y). The integrator restarts at every
+    breakpoint, from the state the previous segment ended in. Raises
+    DomainExit when the trajectory leaves the open box: the box's exit
+    event stops the integration at a face or positivity constraint.
+    Crossings are seen at accepted steps, so an excursion that leaves and
+    re-enters within one step goes unseen. Raises BlowUp on integrator
+    failure with the trajectory still inside, and on a nonfinite end
+    state.
     """
     x = np.asarray(x, dtype=float)
     if not box.contains(x):
@@ -300,7 +288,7 @@ def integrate_segments(rhs_for_letter, box: Box, x, word, tol,
     breakpoints = [0.0]
     states = [tuple(x)]
     t_abs = 0.0
-    for j, (letter, dur) in enumerate(word):
+    for letter, dur in word:
         if dur != 0.0:
             fun = rhs_for_letter(letter)
             sol = _integrate(fun, x, dur, tol, events=box.exit_event)
@@ -329,44 +317,7 @@ def integrate_segments(rhs_for_letter, box: Box, x, word, tol,
             t_abs += dur
         breakpoints.append(t_abs)
         states.append(tuple(x))
-        if on_breakpoint is not None:
-            on_breakpoint(j, x)
     return Trajectory(tuple(breakpoints), tuple(states), x)
-
-
-def terminal_states(rhs_session, box: Box, x, words, tol
-                    ) -> Iterator[np.ndarray]:
-    """Terminal state of each word from x, in order, integrating every
-    prefix the words share once.
-
-    words are (letter, duration) tuples. rhs_session(warm) -> rhs_for_letter
-    starts an integration whose right-hand sides may keep solver warm
-    starts in the dict `warm` (a symbolic system ignores it). Each
-    breakpoint state reached is cached with a copy of `warm` as it stood
-    there, and each word is integrated by one integrate_segments call from
-    the deepest cached prefix. integrate_segments restarts the integrator
-    at every breakpoint, so each state equals that of the word integrated
-    whole, bit for bit. States are yielded as they are computed, so an
-    error surfaces at the first word that meets it, as it would word by
-    word.
-    """
-    cache: dict = {}    # prefix -> (breakpoint state, warm starts there)
-    for word in words:
-        word = tuple(word)
-        depth = len(word)
-        while depth and word[:depth] not in cache:
-            depth -= 1
-        if depth and depth == len(word):
-            yield cache[word][0].copy()
-            continue
-        start, warm = cache[word[:depth]] if depth else (x, {})
-        warm = dict(warm)
-
-        def save(j, y, word=word, depth=depth, warm=warm):
-            cache[word[:depth + j + 1]] = (y, dict(warm))
-
-        yield integrate_segments(rhs_session(warm), box, start, word[depth:],
-                                 tol, save).terminal.copy()
 
 
 def _variational_rhs(tangent, n: int):
@@ -378,30 +329,31 @@ def _variational_rhs(tangent, n: int):
     return f
 
 
-def duration_sensitivities(rhs_session, tangent_session, box: Box, x, word,
-                           suffixes, tol
+def duration_sensitivities(session, box: Box, x, word, suffixes, tol
                            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(x_end, V) for word followed by each suffix, in order, where column
     j of V is the exact derivative of x_end by the duration of word's
     slot j (the variational equations).
 
     word and the suffixes are (letter, duration) tuples.
-    rhs_session(warm) -> rhs_for_letter is the plain flow, as in
-    terminal_states; tangent_session(warm)(letter) -> g with
-    g(x) = (f(x), Df(x)) shares its warm starts. Every segment runs
-    through integrate_segments on the state (x, V): the columns evolve by
+    session(warm) -> (rhs_for_letter, tangent) starts one integration:
+    rhs_for_letter is the plain flow, and tangent(letter) -> g with
+    g(x) = (f(x), Df(x)); both may keep solver warm starts in the dict
+    `warm` (a symbolic system ignores it). Every segment runs through
+    integrate_segments on the state (x, V): the columns evolve by
     V' = Df(x) V, and at breakpoint j, in state x_j, V gains the column
     f_{a_j}(x_j). The first segment has no column yet and flows x alone.
-    Each suffix continues all columns from word's terminal (x, V), with
-    the warm starts word ended with. Raises as integrate_segments does.
+    Each suffix continues all columns from word's terminal (x, V), in a
+    session on a copy of the warm starts word ended with. Raises as
+    integrate_segments does.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     warm: dict = {}
-    rhs, tangent = rhs_session(warm), tangent_session(warm)
+    rhs, tangent = session(warm)
 
-    def variational(session):
-        return lambda letter: _variational_rhs(session(letter), n)
+    def variational(tangent_for_letter):
+        return lambda letter: _variational_rhs(tangent_for_letter(letter), n)
 
     y = x
     for j, (letter, dur) in enumerate(word):
@@ -411,8 +363,8 @@ def duration_sensitivities(rhs_session, tangent_session, box: Box, x, word,
                              rhs(letter)(0.0, y[:n])])
         y = np.concatenate([y[:n], v.ravel()])
     for suffix in suffixes:
-        end = integrate_segments(variational(tangent_session(dict(warm))),
-                                 box, y, suffix, tol).terminal
+        end = integrate_segments(variational(session(dict(warm))[1]), box,
+                                 y, suffix, tol).terminal
         yield end[:n], end[n:].reshape(n, -1)
 
 
@@ -459,12 +411,6 @@ class ResponseOracle:
     def respond(self, u: GeneralizedInput) -> np.ndarray:
         raise NotImplementedError
 
-    def respond_many(self, words: Sequence[GeneralizedInput]
-                     ) -> list[np.ndarray]:
-        """Responses to several words, in order; the first failing word
-        raises."""
-        return [self.respond(u) for u in words]
-
 
 class SystemOracle(ResponseOracle):
     """Response map of a simulated system. Works for symbolic systems and
@@ -479,14 +425,8 @@ class SystemOracle(ResponseOracle):
         self.r = len(sys.readout_values(self.x0))
 
     def respond(self, u: GeneralizedInput) -> np.ndarray:
-        return self.respond_many([u])[0]
-
-    def respond_many(self, words: Sequence[GeneralizedInput]
-                     ) -> list[np.ndarray]:
-        """Responses with every shared word prefix integrated once."""
         sys = self.system
-        return [sys.readout_values(x)
-                for x in sys.terminal_states(self.x0, words, self.tol)]
+        return sys.readout_values(sys.terminal_state(self.x0, u, self.tol))
 
 
 @dataclass(frozen=True)

@@ -419,8 +419,8 @@ def test_response_method_follows_the_oracle():
 def richardson_reachable(sys, u, h=1e-3, tol=1e-12):
     """The terminal state's duration Jacobian by 4-point Richardson
     differences: rows coordinates, columns slots."""
-    states = np.array(list(sys.terminal_states(sys.x0, _fd_words(u, h),
-                                               tol)))
+    states = np.array([sys.terminal_state(sys.x0, w, tol)
+                       for w in _fd_words(u, h)])
     return _richardson(states.reshape(len(u), len(_FD_MULTS), sys.n),
                        h).T
 
@@ -480,14 +480,14 @@ def test_response_base_word_takes_one_flow_per_segment(monkeypatch):
     assert len(rep.sample_points) == 1
     assert len(calls) == 2 + 20
     # the same base word by Richardson differences: 4 nodes for each of
-    # the k slots make 8 perturbed words. Slot 0's four take 2 segments
-    # each, slot 1's share their unperturbed first one (8 + 1 + 4 = 13),
-    # and each word is continued along every suffix (8 x 20)
+    # the k slots make 8 perturbed words, and each is asked once per
+    # suffix (13 with the empty one), one flow per word: its 2 base
+    # segments each time (8 x 13 x 2), plus the suffix segments (8 x 20)
     base, suffixes = response_plan(BILIN.alphabet, 2, 2, 1, 1.0,
                                    np.random.default_rng(0))
     calls.clear()
     _fd_response_matrix(oracle, base[0], [s for s, _ in suffixes], 1e-3)
-    assert len(calls) == 13 + 8 * 20
+    assert len(calls) == 8 * 13 * 2 + 8 * 20
 
 
 def test_variational_flow_leaving_the_orthant_raises():

@@ -14,7 +14,6 @@ from nash_realize.errors import (AlphabetMismatch, BlowUp, DomainExit,
 from nash_realize.expr import NashExpr
 from nash_realize.inputs import GeneralizedInput, concat, reverse, \
     sample_inputs
-from nash_realize import system as system_module
 from nash_realize.system import (Box, NashSystem, SystemOracle, TableOracle,
                                  flow, sample_flow, shift_oracle)
 
@@ -304,7 +303,7 @@ def test_excursion_inside_one_segment_raises(pairs):
     with pytest.raises(DomainExit):
         flow(rot, rot.x0, u, TOL)
     with pytest.raises(DomainExit):
-        list(rot.terminal_states(rot.x0, [u], TOL))
+        rot.terminal_state(rot.x0, u, TOL)
     with pytest.raises(DomainExit):
         SystemOracle(rot, tol=TOL).respond(u)
 
@@ -357,66 +356,20 @@ def test_tangent_kernels_match_eval_point_on_catalog():
                 assert np.max(np.abs(jac - want_jac)) <= scale, name
 
 
-def shared_prefix_words(sys):
-    """Words shaped like the finite-difference words of the estimators:
-    one base word, each slot moved both ways, then a few suffixes."""
-    base = [("a0", 0.3), ("a1", 0.2), ("a0", 0.1)]
-    words = []
-    for suffix in ([], [("a1", 0.05)], [("a0", 0.04), ("a1", 0.0)]):
-        for slot in range(len(base)):
-            for delta in (-1e-3, 1e-3):
-                pairs = list(base)
-                pairs[slot] = (pairs[slot][0], pairs[slot][1] + delta)
-                words.append(word(sys, *pairs, *suffix))
-    words.append(word(sys, *base))
-    words.append(word(sys, *base[:2]))
-    return words
-
-
-def count_segments(monkeypatch):
-    calls = []
-    real = system_module.solve_ivp
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(system_module, "solve_ivp", counting)
-    return calls
-
-
-def distinct_segments(words):
-    """Prefixes ending in a segment of nonzero duration: what a
-    prefix-sharing flow integrates, once each."""
-    return len({w.word[:i] for w in words for i in range(1, len(w) + 1)
-                if w.word[i - 1][1] != 0.0})
-
-
-def test_terminal_states_match_per_word_flows(monkeypatch):
-    words = shared_prefix_words(BILIN)
-    want = [flow(BILIN, BILIN.x0, w, TOL).terminal for w in words]
-    calls = count_segments(monkeypatch)
-    got = list(BILIN.terminal_states(BILIN.x0, words, TOL))
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    assert len(calls) == distinct_segments(words)
-    oracle = SystemOracle(BILIN, tol=TOL)
-    many = oracle.respond_many(words)
-    assert [m.tobytes() for m in many] == \
-        [oracle.respond(w).tobytes() for w in words]
-
-
 def test_shared_prefix_leaving_domain_raises():
     # a1 drives sqrt-decay to x = 0 within 9 time units
     leaves = word(PL, ("a1", 9.0))
     ok = word(PL, ("a0", 0.1))
-    words = [ok, concat(leaves, word(PL, ("a0", 0.1))),
-             concat(leaves, word(PL, ("a0", 0.2)))]
-    states = PL.terminal_states(PL.x0, words, TOL)
-    assert next(states) == pytest.approx(flow(PL, PL.x0, ok, TOL).terminal)
-    with pytest.raises(DomainExit):
-        next(states)
-    with pytest.raises(DomainExit):
-        list(PL.terminal_states(PL.x0, words[2:], TOL))
-    # a suffix that leaves from a cached prefix state raises, too
-    with pytest.raises(DomainExit):
-        list(PL.terminal_states(PL.x0, [ok, concat(ok, leaves)], TOL))
+    oracle = SystemOracle(PL, tol=TOL)
+    want = flow(PL, PL.x0, ok, TOL).terminal
+    assert PL.terminal_state(PL.x0, ok, TOL).tobytes() == want.tobytes()
+    assert oracle.respond(ok).tobytes() == \
+        PL.readout_values(want).tobytes()
+    # each word that leaves, through a shared prefix or after one that
+    # stays inside, raises on its own
+    for u in (concat(leaves, word(PL, ("a0", 0.1))),
+              concat(leaves, word(PL, ("a0", 0.2))), concat(ok, leaves)):
+        with pytest.raises(DomainExit):
+            PL.terminal_state(PL.x0, u, TOL)
+        with pytest.raises(DomainExit):
+            oracle.respond(u)

@@ -2,9 +2,10 @@
 
     python3 tools/cli_reports.py DIR [--seed N] [--against OTHER_DIR]
 
-runs `analyze`, `reduce-reach`, `reduce-obs` and `minimize` on every
-catalog system, and `compare SYS-LIN1 SYS-CUBE`, with the package under
-this checkout's `src/`, each in its own process. Each report goes to
+runs `simulate` with the fixed word SIMULATE_WORD, `analyze`,
+`reduce-reach`, `reduce-obs` and `minimize` on every catalog system, and
+`compare SYS-LIN1 SYS-CUBE`, with the package under this checkout's
+`src/`, each in its own process. Each report goes to
 DIR/<command>-<system>.json without its `elapsed_seconds` line, the one
 field that changes from run to run. Run it in two checkouts with the same
 seed; `diff -r DIR1 DIR2` then lists every report that differs.
@@ -29,6 +30,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ("analyze", "reduce-reach", "reduce-obs", "minimize")
 COMPARE = ("SYS-LIN1", "SYS-CUBE")
+# every catalog system has the letters a0 and a1
+SIMULATE_WORD = '[["a0",0.2],["a1",-0.1]]'
 ANSWERS = frozenset(("verdict", "dimension", "estimated_trdeg", "passed",
                      "reachable", "observable"))
 _MISSING = "<missing>"
@@ -102,10 +105,14 @@ def main(argv=None) -> int:
                    help="print the fields that differ from these reports")
     args = p.parse_args(argv)
     args.dir.mkdir(parents=True, exist_ok=True)
-    runs = [[cmd, name] for cmd in COMMANDS for name in catalog_names()]
-    runs.append(["compare", *COMPARE])
-    for run in runs:
-        path = args.dir / ("-".join(run) + ".json")
+    names = catalog_names()
+    runs = [(f"simulate-{name}", ["simulate", name, "--input", SIMULATE_WORD])
+            for name in names]
+    runs += [(f"{cmd}-{name}", [cmd, name])
+             for cmd in COMMANDS for name in names]
+    runs.append(("-".join(("compare", *COMPARE)), ["compare", *COMPARE]))
+    for stem, run in runs:
+        path = args.dir / f"{stem}.json"
         path.write_text(report(run, args.seed), encoding="utf-8")
         print(path, file=sys.stderr)
     return 0 if args.against is None else compare_dirs(args.against,

@@ -21,7 +21,8 @@ from .expr import NashExpr, ALL_REAL, POSITIVE_ORTHANT
 from .analysis import (box_sampler, estimate_reachable_trdeg,
                        estimate_response_trdeg, estimate_trdeg,
                        fit_relation)
-from .inputs import GeneralizedInput, concat, reverse, sample_inputs
+from .inputs import (GeneralizedInput, admissible, concat, reverse,
+                     sample_inputs)
 from .minimality import (INCONCLUSIVE, MINIMAL, NOT_MINIMAL,
                          check_minimality, construct_isomorphism,
                          verify_isomorphism)
@@ -209,22 +210,19 @@ def run_a6(cfg: RunConfig, systems: dict) -> dict:
         rng = np.random.default_rng(cfg.seed)
         oracle = SystemOracle(sys, tol=cfg.flow_tol)
         base = _resp_trdeg(sys, cfg, rng, oracle=oracle, count=2, depth=1)
-        shifted_vals = []
-        done = 0
-        attempts = 0
-        while done < 10 and attempts < 100:
-            attempts += 1
-            u = sample_inputs(sys.alphabet, 2, 0.3, 1, rng)[0]
-            try:
-                sh = shift_oracle(oracle, u)
-                shifted_vals.append(
-                    _resp_trdeg(sys, cfg, rng, oracle=sh, count=2, depth=1))
-            except (DomainExit, BlowUp):
-                continue
-            done += 1
+
+        def shifted(u):
+            # draws from rng too, between the draws of the shift words
+            return _resp_trdeg(sys, cfg, rng, oracle=shift_oracle(oracle, u),
+                               count=2, depth=1)
+
+        shifted_vals, _ = admissible(
+            (sample_inputs(sys.alphabet, 2, 0.3, 1, rng)[0]
+             for _ in range(100)), shifted, 10)
         restricted = _resp_trdeg(sys, cfg, rng, oracle=oracle, count=2,
                                  time_budget=cfg.budget / 10.0, depth=1)
-        good = (done == 10 and all(v == base for v in shifted_vals)
+        good = (len(shifted_vals) == 10
+                and all(v == base for v in shifted_vals)
                 and restricted == base)
         details[name] = {"base": base, "shifted": shifted_vals,
                          "restricted": restricted}
@@ -320,13 +318,14 @@ def run_a8(cfg: RunConfig, systems: dict) -> dict:
 
     # (2) held-out validation of returned relations
     diag = systems["SYS-DIAG"]
-    states = []
-    while len(states) < 140:
-        w = sample_inputs(diag.alphabet, 2, cfg.budget, 1, rng)[0]
-        try:
-            states.append(diag.terminal_state(diag.x0, w, cfg.flow_tol))
-        except (DomainExit, BlowUp):
-            continue
+    cap = 20 * 140
+    states, _ = admissible(
+        (sample_inputs(diag.alphabet, 2, cfg.budget, 1, rng)[0]
+         for _ in range(cap)),
+        lambda w: diag.terminal_state(diag.x0, w, cfg.flow_tol), 140)
+    if len(states) < 140:
+        raise DomainExit(f"only {len(states)} of 140 SYS-DIAG words stayed "
+                         f"in the domain in {cap} draws")
     states = np.array(states)
     rel = fit_relation(states[:, 1], states[:, [0]], cfg.degree_bound,
                        cfg.fit_tol, seed=rng)

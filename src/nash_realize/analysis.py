@@ -26,7 +26,8 @@ import scipy.linalg
 from .errors import (DegenerateSamples, DomainExit, ExpressionBlowup,
                      IllConditioned, BlowUp)
 from .expr import ALL_REAL, NashExpr, lie_derivative
-from .inputs import GeneralizedInput, InputAlphabet, concat, diverse_word
+from .inputs import (GeneralizedInput, InputAlphabet, admissible, concat,
+                     diverse_word)
 from .system import Box, NashSystem, ResponseOracle, SystemOracle
 
 DEFAULT_RANK_TOL = 1e-8
@@ -210,14 +211,12 @@ def _exact_rank_pivots(rows: list[list[Fraction]],
 
 
 class FuncGenerator:
-    """Non-symbolic generator for rank estimation: a value callable plus a
-    gradient callable (exact where implicit differentiation applies,
-    finite differences otherwise)."""
+    """Non-symbolic generator for rank estimation: a gradient callable
+    (exact where implicit differentiation applies, finite differences
+    otherwise)."""
 
-    def __init__(self, value: Callable[[np.ndarray], float],
-                 grad: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, grad: Callable[[np.ndarray], np.ndarray],
                  label: str = "", is_constant: bool = False):
-        self.value = value
         self.grad = grad
         self.label = label
         self.is_constant = is_constant
@@ -230,16 +229,13 @@ def box_sampler(domain: Box, center: Sequence[float], radius: float,
     c = np.asarray(center, dtype=float)
 
     def sample(count: int) -> np.ndarray:
-        pts = []
-        attempts = 0
-        while len(pts) < count:
-            attempts += 1
-            if attempts > 100 * count:
-                raise DegenerateSamples(
-                    "sampler failed to find points inside the domain")
-            x = c + radius * rng.uniform(-1.0, 1.0, size=c.size)
-            if domain.contains(x):
-                pts.append(x)
+        pts, _ = admissible(
+            (c + radius * rng.uniform(-1.0, 1.0, size=c.size)
+             for _ in range(100 * count)),
+            lambda x: x if domain.contains(x) else None, count)
+        if len(pts) < count:
+            raise DegenerateSamples(
+                "sampler failed to find points inside the domain")
         return np.array(pts)
 
     return sample
@@ -284,11 +280,8 @@ def estimate_trdeg(generators: Sequence, sampler: Callable[[int], np.ndarray],
                     for j in range(nv)]
             rank, pivots = _exact_rank_pivots(cols, len(gens))
             jac = np.array([[float(v) for v in r] for r in rows])
-            nrm = np.linalg.norm(jac, axis=1)
-            keep = nrm > 0
-            sv = np.linalg.svd(jac[keep] / nrm[keep, None],
-                               compute_uv=False) if keep.any() else np.zeros(0)
-            sv_evidence.append(tuple(float(s) for s in sv))
+            sv_evidence.append(
+                _rank_evidence(jac, 0.0, rank_tol, gap_factor).singular_values)
             if rank > best_rank:
                 best_rank, best_pivots, best_idx = rank, pivots, pi
         if best_rank == 0 and any(not g.is_constant for g in gens):
@@ -618,12 +611,18 @@ class PolynomialRelation:
     def dT(self, T: float, z) -> float:
         return self.newton_terms(T, z)[2]
 
-    def grad_z(self, T: float, z) -> np.ndarray:
-        """dQ/dz at (T, z), from one power of every variable in every
-        term."""
+    def gradient(self, T: float, z) -> tuple[float, np.ndarray]:
+        """(dQ/dT, dQ/dz) at (T, z), from one power of every variable in
+        every term; dQ/dT is summed as newton_terms sums it, so it equals
+        dT bit for bit."""
         p = self._pts(T, z)
         e = self._exponent_matrix
         powers = p ** e
+        rests = powers[:, 1:].prod(axis=1).tolist()
+        d_T = 0.0
+        for c, ex, rest in zip(self.coefficients, self.exponents, rests):
+            if ex[0]:
+                d_T += c * (ex[0] * p[0] ** (ex[0] - 1) * rest)
         # the factor of z_j in d/dz_j: e * z_j^(e - 1), and exactly 0 where
         # e = 0 (no z_j^-1 is formed)
         factors = e[:, 1:] * p[1:] ** np.maximum(e[:, 1:] - 1.0, 0.0)
@@ -631,7 +630,7 @@ class PolynomialRelation:
         # per z_j, every term's powers with column 1 + j replaced
         stack = np.broadcast_to(powers, (d,) + powers.shape).copy()
         stack[np.arange(d), :, np.arange(1, d + 1)] = factors.T
-        return stack.prod(axis=2) @ np.asarray(self.coefficients)
+        return d_T, stack.prod(axis=2) @ np.asarray(self.coefficients)
 
     def mono_scale(self, T: float, z) -> float:
         return self.newton_terms(T, z)[1]

@@ -198,17 +198,6 @@ class NashExpr:
             powed = np.power(x[None, :], exps)
         return float(coeffs @ np.prod(powed, axis=1))
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """Float evaluation over rows of X, shape (S, nvars) -> (S,).
-        Invalid points yield nan rather than raising."""
-        X = np.asarray(X, dtype=float)
-        coeffs, exps = self._float_arrays
-        if coeffs.size == 0:
-            return np.zeros(X.shape[0])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            powed = np.power(X[:, None, :], exps[None, :, :])
-        return np.prod(powed, axis=2) @ coeffs
-
     # -------------------------------------------------------- differentiation
 
     def diff(self, i: int) -> "NashExpr":

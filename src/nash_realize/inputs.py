@@ -1,4 +1,5 @@
-"""Piecewise-constant input words and their algebra.
+"""Piecewise-constant input words and their algebra, and the one loop
+that keeps drawing candidates until enough of them are admissible.
 
 A word is a finite sequence of (letter, duration) pairs over a finite
 alphabet of input values. Durations may be negative (generalized inputs),
@@ -10,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import AlphabetMismatch
+from .errors import AlphabetMismatch, BlowUp, DomainExit
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,33 @@ def sample_inputs(alphabet: InputAlphabet, max_letters: int,
         out.append(GeneralizedInput(
             alphabet, tuple((int(i), float(t)) for i, t in zip(letters, durs))))
     return out
+
+
+def admissible(candidates: Iterable, evaluate: Callable, want: int,
+               skip: tuple = (DomainExit, BlowUp)) -> tuple[list, int]:
+    """Evaluate candidates in turn until `want` evaluations have succeeded;
+    returns (results, skipped). A candidate whose evaluate raises one of
+    skip, or returns None, is skipped: an inadmissible draw is data, not a
+    failure. No candidate is taken after the last one needed, so a lazy
+    generator draws each candidate just before it is evaluated, and the
+    generator's length is the cap on draws. The caller decides what too
+    few results mean."""
+    results: list = []
+    skipped = 0
+    if want <= 0:
+        return results, skipped
+    for candidate in candidates:
+        try:
+            result = evaluate(candidate)
+        except skip:
+            result = None
+        if result is None:
+            skipped += 1
+            continue
+        results.append(result)
+        if len(results) == want:
+            break
+    return results, skipped
 
 
 def diverse_word(alphabet: InputAlphabet, k: int, durations: Sequence[float],

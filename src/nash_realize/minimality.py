@@ -12,6 +12,7 @@ Newton around a shifted base point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +24,7 @@ from .errors import (BlowUp, DerivativeVanished, DimensionMismatch,
                      DomainExit, DomainViolation, FitFailure,
                      NashRealizeError, NewtonDiverged, NotBijective)
 from .analysis import estimate_reachable_trdeg, estimate_response_trdeg
-from .inputs import GeneralizedInput, sample_inputs
+from .inputs import GeneralizedInput, admissible, sample_inputs
 from .reduction import ReachReduced, _build_chart, _ObsContext
 from .system import NashSystem, ResponseOracle, SystemOracle
 
@@ -60,28 +61,17 @@ class MinimalityVerdict:
 
 def _realization_check(sys, oracle, opts: RunConfig,
                        rng: np.random.Generator) -> tuple[bool, float]:
-    words = [GeneralizedInput.empty(sys.alphabet)]
-    words += sample_inputs(sys.alphabet, min(3, max(1, sys.n)),
-                           0.25 * opts.budget, 14, rng)
     own = SystemOracle(sys, tol=opts.flow_tol)
-    max_dev = 0.0
-    evaluated = 0
-    draws = 0
-    qi = 0
-    while qi < len(words):
-        w = words[qi]
-        qi += 1
-        try:
-            dev = float(np.max(np.abs(oracle.respond(w) - own.respond(w))))
-        except (DomainExit, BlowUp):
-            draws += 1
-            if draws < 40:
-                words += sample_inputs(sys.alphabet, 3, 0.25 * opts.budget,
-                                       1, rng)
-            continue
-        evaluated += 1
-        max_dev = max(max_dev, dev)
-    return (evaluated >= 5 and max_dev <= 1e-6), max_dev
+    # the empty word, then 14 draws and up to 39 replacements
+    words = itertools.chain(
+        [GeneralizedInput.empty(sys.alphabet)],
+        (sample_inputs(sys.alphabet, min(3, max(1, sys.n)),
+                       0.25 * opts.budget, 1, rng)[0] for _ in range(53)))
+    devs, _ = admissible(
+        words, lambda w: float(np.max(np.abs(oracle.respond(w)
+                                             - own.respond(w)))), 15)
+    max_dev = max([0.0] + devs)
+    return (len(devs) >= 5 and max_dev <= 1e-6), max_dev
 
 
 def check_minimality(sys, oracle: ResponseOracle,
@@ -255,23 +245,15 @@ def construct_isomorphism(sys1, sys2, oracle: ResponseOracle,
 
     def sample_targets(S):
         # shared reachable samples: words admissible for both systems
-        pts1, pts2 = [], []
-        attempts = 0
-        while len(pts1) < S:
-            w = sample_inputs(sys1.alphabet, max(1, n), opts.budget, 1,
-                              rng)[0]
-            attempts += 1
-            if attempts > 20 * S:
-                raise FitFailure("could not collect shared reachable "
-                                 "samples")
-            try:
-                a = sys1.terminal_state(sys1.x0, w, opts.flow_tol)
-                b = sys2.terminal_state(sys2.x0, w, opts.flow_tol)
-            except (DomainExit, BlowUp):
-                continue
-            pts1.append(a)
-            pts2.append(b)
-        X1, X2 = np.array(pts1), np.array(pts2)
+        pairs, _ = admissible(
+            (sample_inputs(sys1.alphabet, max(1, n), opts.budget, 1, rng)[0]
+             for _ in range(20 * S)),
+            lambda w: (sys1.terminal_state(sys1.x0, w, opts.flow_tol),
+                       sys2.terminal_state(sys2.x0, w, opts.flow_tol)), S)
+        if len(pairs) < S:
+            raise FitFailure("could not collect shared reachable samples")
+        X1 = np.array([a for a, _ in pairs])
+        X2 = np.array([b for _, b in pairs])
         # per coordinate: the second system's over the first, then back
         return [target for j in range(n) for target in (
             (X2[:, j], X1, f"coordinate {j + 1} of the second system "
@@ -298,19 +280,12 @@ def construct_isomorphism(sys1, sys2, oracle: ResponseOracle,
     rho = 0.3 * (1.0 + float(np.linalg.norm(base1)))
     if math.isfinite(radius):
         rho = min(rho, 0.49 * radius)
-    rt = 0.0
-    checked = 0
-    tries = 0
-    while checked < 20 and tries < 400:
-        tries += 1
-        x = base1 + rho * rng.uniform(-1.0, 1.0, size=n)
-        try:
-            back = iso.backward(iso.forward(x))
-        except (NewtonDiverged, DerivativeVanished):
-            continue
-        rt = max(rt, float(np.max(np.abs(back - x))))
-        checked += 1
-    if checked == 0 or rt > opts.iso_tol:
+    devs, _ = admissible(
+        (base1 + rho * rng.uniform(-1.0, 1.0, size=n) for _ in range(400)),
+        lambda x: float(np.max(np.abs(iso.backward(iso.forward(x)) - x))),
+        20, skip=(NewtonDiverged, DerivativeVanished))
+    rt = max([0.0] + devs)
+    if not devs or rt > opts.iso_tol:
         raise NotBijective(
             f"round-trip residual {rt:.3e} exceeds {opts.iso_tol:.1e} "
             f"on probed points")
@@ -371,56 +346,46 @@ def verify_isomorphism(iso: LocalIsomorphism, sys1, sys2,
         rho = min(rho, 0.4 * iso.radius)
     nletters = len(sys1.alphabet)
 
-    dev_a = dev_b = dev_c = 0.0
-    probes = skipped = 0
-    tries = 0
-    while probes < trials and tries < 20 * trials:
-        tries += 1
-        x = iso.base1 + rho * rng.uniform(-1.0, 1.0, size=n)
-        try:
-            y = iso.forward(x)
-            back = iso.backward(y)
-            jac = iso.forward_jacobian(x, y)
-            db = 0.0
-            for li in range(nletters):
-                f1 = sys1.field_values(x, li)
-                f2 = sys2.field_values(y, li)
-                db = max(db, float(np.max(np.abs(jac @ f1 - f2))))
-            dc = float(np.max(np.abs(sys2.readout_values(y)
-                                     - sys1.readout_values(x))))
-        except (NewtonDiverged, DerivativeVanished, DomainViolation,
-                DomainExit):
-            skipped += 1
-            continue
+    def probe(x):
+        """(round-trip, intertwining, readout) deviations at x; None when
+        the intertwining or the readout deviation is not finite."""
+        y = iso.forward(x)
+        back = iso.backward(y)
+        jac = iso.forward_jacobian(x, y)
+        db = 0.0
+        for li in range(nletters):
+            f1 = sys1.field_values(x, li)
+            f2 = sys2.field_values(y, li)
+            db = max(db, float(np.max(np.abs(jac @ f1 - f2))))
+        dc = float(np.max(np.abs(sys2.readout_values(y)
+                                 - sys1.readout_values(x))))
         if not np.isfinite(db) or not np.isfinite(dc):
-            skipped += 1
-            continue
-        dev_a = max(dev_a, float(np.max(np.abs(back - x))))
-        dev_b = max(dev_b, db)
-        dev_c = max(dev_c, dc)
-        probes += 1
+            return None
+        return float(np.max(np.abs(back - x))), db, dc
 
-    dev_d = 0.0
-    words_done = 0
-    wtries = 0
+    probed, skipped = admissible(
+        (iso.base1 + rho * rng.uniform(-1.0, 1.0, size=n)
+         for _ in range(20 * trials)), probe, trials,
+        skip=(NewtonDiverged, DerivativeVanished, DomainViolation,
+              DomainExit))
+    dev_a, dev_b, dev_c = (max([0.0] + [p[k] for p in probed])
+                           for k in range(3))
+
+    def trajectory(v):
+        t1 = sys1.terminal_state(iso.base1, v, opts.flow_tol)
+        t2 = sys2.terminal_state(iso.base2, v, opts.flow_tol)
+        return float(np.max(np.abs(iso.forward(t1) - t2)))
+
     nwords = max(10, trials // 5) if words is None else words
-    while words_done < nwords and wtries < 20 * nwords:
-        wtries += 1
-        v = sample_inputs(sys1.alphabet, max(1, n), 0.5 * opts.budget,
-                          1, rng)[0]
-        try:
-            t1 = sys1.terminal_state(iso.base1, v, opts.flow_tol)
-            t2 = sys2.terminal_state(iso.base2, v, opts.flow_tol)
-            mapped = iso.forward(t1)
-        except (DomainExit, BlowUp, NewtonDiverged, DerivativeVanished):
-            skipped += 1
-            continue
-        dev_d = max(dev_d, float(np.max(np.abs(mapped - t2))))
-        words_done += 1
+    traced, wskipped = admissible(
+        (sample_inputs(sys1.alphabet, max(1, n), 0.5 * opts.budget, 1,
+                       rng)[0] for _ in range(20 * nwords)), trajectory,
+        nwords, skip=(DomainExit, BlowUp, NewtonDiverged, DerivativeVanished))
+    dev_d = max([0.0] + traced)
 
-    passed = (probes >= max(1, trials // 2)
-              and words_done >= max(1, nwords // 2)
+    passed = (len(probed) >= max(1, trials // 2)
+              and len(traced) >= max(1, nwords // 2)
               and dev_a <= tol and dev_b <= tol and dev_c <= tol
               and dev_d <= tol)
-    return IsomorphismReport(dev_a, dev_b, dev_c, dev_d, tol, probes,
-                             words_done, skipped, passed)
+    return IsomorphismReport(dev_a, dev_b, dev_c, dev_d, tol, len(probed),
+                             len(traced), skipped + wskipped, passed)

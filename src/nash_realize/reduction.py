@@ -12,6 +12,7 @@ best-effort polynomial resymbolization is exported for inspection only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,15 +21,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .errors import (AlphabetMismatch, BlowUp, DerivativeVanished,
-                     DomainExit, FitFailure, NewtonDiverged,
-                     NoValidShiftInput, NotReachableInput)
+from .errors import (AlphabetMismatch, DerivativeVanished, DomainExit,
+                     FitFailure, NewtonDiverged, NoValidShiftInput,
+                     NotReachableInput)
 from .expr import lie_derivative, stacked_evaluator, tangent_evaluator
 from .analysis import (FuncGenerator, PolynomialRelation, TranscendenceReport,
                        estimate_reachable_trdeg, estimate_response_trdeg,
                        estimate_trdeg, fit_relation, generate_obs_algebra,
                        monomial_count, box_sampler)
-from .inputs import GeneralizedInput, concat, sample_inputs
+from .inputs import GeneralizedInput, admissible, concat, sample_inputs
 from .system import (DEFAULT_FLOW_TOL, Box, NashSystem, ResponseOracle,
                      SystemOracle, duration_sensitivities, integrate_segments,
                      shift_oracle)
@@ -85,10 +86,10 @@ class ImplicitMap:
         z = np.asarray(z, dtype=float)
         if q is None:
             q = self.solve(z)
-        d = self.relation.dT(q, z)
+        d, dz = self.relation.gradient(q, z)
         if abs(d) < self.derivative_floor:
             raise DerivativeVanished("implicit derivative below floor")
-        return -self.relation.grad_z(q, z) / d
+        return -dz / d
 
     def to_json(self) -> dict:
         return {
@@ -492,34 +493,21 @@ def verify_local_realization(red: LocalRealization, oracle: ResponseOracle,
     replaced (they are data, not failures)."""
     rng = np.random.default_rng(seed)
     shifted = shift_oracle(oracle, red.shift_input)
-    words = [GeneralizedInput.empty(red.alphabet)]
-    words += sample_inputs(red.alphabet, max_letters, time_budget,
-                           max(0, trials - 1), rng)
-    max_dev = 0.0
-    evaluated = skipped = 0
-    failures = []
-    budget_draws = 4 * trials
-    qi = 0
-    while qi < len(words):
-        w = words[qi]
-        qi += 1
-        try:
-            want = shifted.respond(w)
-            got = red.respond(w, flow_tol)
-        except (DomainExit, BlowUp):
-            skipped += 1
-            if len(words) < budget_draws:
-                words += sample_inputs(red.alphabet, max_letters,
-                                       time_budget, 1, rng)
-            continue
-        dev = float(np.max(np.abs(want - got)))
-        max_dev = max(max_dev, dev)
-        evaluated += 1
-        if dev > tol:
-            failures.append((w.to_json(), dev))
-    passed = not failures and evaluated >= max(1, trials // 2)
-    return VerificationReport(max_dev, tol, evaluated, skipped,
-                              tuple(failures), passed)
+    words = itertools.chain(
+        [GeneralizedInput.empty(red.alphabet)],
+        (sample_inputs(red.alphabet, max_letters, time_budget, 1, rng)[0]
+         for _ in range(4 * trials - 1)))
+
+    def deviation(w):
+        return w, float(np.max(np.abs(shifted.respond(w)
+                                      - red.respond(w, flow_tol))))
+
+    done, skipped = admissible(words, deviation, max(1, trials))
+    max_dev = max([0.0] + [dev for _, dev in done])
+    failures = tuple((w.to_json(), dev) for w, dev in done if dev > tol)
+    passed = not failures and len(done) >= max(1, trials // 2)
+    return VerificationReport(max_dev, tol, len(done), skipped, failures,
+                              passed)
 
 
 # ----------------------------------------------------------- shared pieces
@@ -578,24 +566,26 @@ def _build_chart(sys_like, nbasis: int, sample_targets, at_shift,
             raise FitFailure(message, report=report)
         relations.append(rel)
     worst = None
-    for _ in range(10 * max(1, sys_like.n)):
-        u = _sample_shift_word(sys_like.alphabet, sys_like.n, epsilon, rng)
-        try:
-            state, points = at_shift(u)
-        except (DomainExit, BlowUp):
-            continue
+
+    def nondegenerate(u):
+        nonlocal worst
+        state, points = at_shift(u)
         picks = []
         for rel, (q, z) in zip(relations, points):
             pick = _pick_nondegenerate(rel, q, z, opts.derivative_floor)
             if pick is None:
                 worst = rel
-                break
+                return None
             picks.append(pick)
-        else:
-            break
-    else:
+        return u, state, points, picks
+
+    found, _ = admissible(
+        (_sample_shift_word(sys_like.alphabet, sys_like.n, epsilon, rng)
+         for _ in range(10 * max(1, sys_like.n))), nondegenerate, 1)
+    if not found:
         raise NoValidShiftInput(
             failure, relation=None if worst is None else worst.to_json())
+    u, state, points, picks = found[0]
     maps = [ImplicitMap(rel, z, q, newton_tol=opts.newton_tol,
                         derivative_floor=opts.derivative_floor)
             for rel, (q, z) in zip(picks, points)]
@@ -619,18 +609,14 @@ def _gate(red: LocalRealization, oracle: ResponseOracle, opts: RunConfig,
 
 def _sample_reachable_states(sys, count: int, opts: RunConfig,
                              rng: np.random.Generator) -> np.ndarray:
-    states = []
-    attempts = 0
-    while len(states) < count:
-        w = sample_inputs(sys.alphabet, max(1, sys.n), opts.budget, 1, rng)[0]
-        try:
-            x = sys.terminal_state(sys.x0, w, opts.flow_tol)
-        except (DomainExit, BlowUp):
-            attempts += 1
-            if attempts > 10 * count:
-                raise
-            continue
-        states.append(x)
+    cap = 11 * count    # count states and up to 10 * count redraws
+    states, _ = admissible(
+        (sample_inputs(sys.alphabet, max(1, sys.n), opts.budget, 1, rng)[0]
+         for _ in range(cap)),
+        lambda w: sys.terminal_state(sys.x0, w, opts.flow_tol), count)
+    if len(states) < count:
+        raise DomainExit(f"only {len(states)} of {count} reachable-state "
+                         f"words stayed in the domain in {cap} draws")
     return np.array(states)
 
 
@@ -717,20 +703,17 @@ class _ObsContext:
         if math.isfinite(red.radius):
             rho = min(rho, 0.49 * red.radius)
 
+        def liftable(z):
+            red.lift(z)
+            return z
+
         def sample(count: int) -> np.ndarray:
-            pts = []
-            attempts = 0
-            while len(pts) < count:
-                attempts += 1
-                if attempts > 100 * count:
-                    raise DomainExit(
-                        "chart neighborhood sampling kept failing")
-                z = red.x0 + rho * rng.uniform(-1.0, 1.0, size=red.dimension)
-                try:
-                    red.lift(z)
-                except (NewtonDiverged, DerivativeVanished):
-                    continue
-                pts.append(z)
+            pts, _ = admissible(
+                (red.x0 + rho * rng.uniform(-1.0, 1.0, size=red.dimension)
+                 for _ in range(100 * count)),
+                liftable, count, skip=(NewtonDiverged, DerivativeVanished))
+            if len(pts) < count:
+                raise DomainExit("chart neighborhood sampling kept failing")
             return np.array(pts)
 
         return sample
@@ -749,15 +732,12 @@ class _ObsContext:
         for g in self.generators:
             grads = g.gradient()
 
-            def val(z, g=g):
-                return g.eval_point(red.lift(z))
-
             def grad(z, grads=grads):
                 x = red.lift(z)
                 gx = np.array([dg.eval_point(x) for dg in grads])
                 return red.lift_jacobian(z, x).T @ gx
 
-            out.append(FuncGenerator(val, grad, label=str(g)))
+            out.append(FuncGenerator(grad, label=str(g)))
         return out
 
     def trdeg(self, rng) -> TranscendenceReport:
@@ -896,16 +876,14 @@ def resymbolize(red: LocalRealization, degree: int = 3, samples: int = 200,
     rho = 0.2 * (1.0 + float(np.linalg.norm(red.x0)))
     if math.isfinite(red.radius):
         rho = min(rho, 0.4 * red.radius)
-    pts = []
-    attempts = 0
-    while len(pts) < samples and attempts < 20 * samples:
-        attempts += 1
-        z = red.x0 + rho * rng.uniform(-1.0, 1.0, size=d)
-        try:
-            red.readout_values(z)
-        except (NewtonDiverged, DerivativeVanished):
-            continue
-        pts.append(z)
+
+    def readable(z):
+        red.readout_values(z)
+        return z
+
+    pts, _ = admissible((red.x0 + rho * rng.uniform(-1.0, 1.0, size=d)
+                         for _ in range(20 * samples)), readable, samples,
+                        skip=(NewtonDiverged, DerivativeVanished))
     Z = np.array(pts)
     from .analysis import _monomials
     monos = _monomials(d, degree)

@@ -129,10 +129,8 @@ def test_trdeg_exact_path_prefers_early_generators():
 
 
 def test_trdeg_func_generators():
-    g1 = FuncGenerator(lambda x: float(x[0]),
-                       lambda x: np.array([1.0, 0.0]), "x1")
-    g2 = FuncGenerator(lambda x: float(x[0] ** 2),
-                       lambda x: np.array([2.0 * x[0], 0.0]), "x1sq")
+    g1 = FuncGenerator(lambda x: np.array([1.0, 0.0]), "x1")
+    g2 = FuncGenerator(lambda x: np.array([2.0 * x[0], 0.0]), "x1sq")
     rep = estimate_trdeg([g1, g2], sampler_for(2, (1.0, 1.0), 0.5))
     assert rep.estimated_trdeg == 1
     assert rep.method == "float-svd"
@@ -145,8 +143,7 @@ def test_trdeg_constant_generators_rank_zero():
 
 
 def test_trdeg_degenerate_samples():
-    flat = FuncGenerator(lambda x: 1.0, lambda x: np.zeros(2), "flat",
-                         is_constant=False)
+    flat = FuncGenerator(lambda x: np.zeros(2), "flat", is_constant=False)
     with pytest.raises(DegenerateSamples):
         estimate_trdeg([flat], sampler_for(2, (0.0, 0.0), 1.0))
 
@@ -347,7 +344,7 @@ def test_grad_z_matches_term_by_term_derivative():
         pt = rng.choice([-1.0, 1.0], size=d + 1) * rng.uniform(
             0.2, 3.0, size=d + 1)
         pt[rng.uniform(size=d + 1) < 0.1] = 0.0
-        got = rel.grad_z(pt[0], pt[1:])
+        got = rel.gradient(pt[0], pt[1:])[1]
         want, scale = grad_z_by_terms(rel, pt[0], pt[1:])
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
@@ -355,9 +352,26 @@ def test_grad_z_matches_term_by_term_derivative():
 def test_grad_z_zero_exponent_is_exact_at_zero():
     # Q = T^2 + 3 z1 z2^2: no z1^-1 or 0 * inf where z1 = 0 or z2 = 0
     rel = PolynomialRelation(((2, 0, 0), (0, 1, 2)), (1.0, 3.0), 3, 2, 0.0)
-    assert rel.grad_z(0.5, [0.0, 0.0]).tolist() == [0.0, 0.0]
-    assert rel.grad_z(0.5, [0.0, 2.0]).tolist() == [12.0, 0.0]
-    assert rel.grad_z(0.5, [2.0, 0.0]).tolist() == [0.0, 0.0]
+    assert rel.gradient(0.5, [0.0, 0.0])[1].tolist() == [0.0, 0.0]
+    assert rel.gradient(0.5, [0.0, 2.0])[1].tolist() == [12.0, 0.0]
+    assert rel.gradient(0.5, [2.0, 0.0])[1].tolist() == [0.0, 0.0]
+
+
+def test_gradient_dT_equals_newton_terms_dT():
+    # ImplicitMap.grad divides by gradient's dQ/dT where solve divided by
+    # newton_terms' dT: the two must be the same float
+    rng = np.random.default_rng(1)
+    for _ in range(5_000):
+        d = int(rng.integers(1, 4))
+        terms = int(rng.integers(1, 10))
+        exps = tuple(tuple(int(v) for v in rng.integers(0, 5, size=d + 1))
+                     for _ in range(terms))
+        coeffs = tuple(float(c) for c in rng.normal(size=terms))
+        rel = PolynomialRelation(exps, coeffs, 8, 4, 0.0)
+        pt = rng.choice([-1.0, 1.0], size=d + 1) * rng.uniform(
+            0.2, 3.0, size=d + 1)
+        pt[rng.uniform(size=d + 1) < 0.1] = 0.0
+        assert rel.gradient(pt[0], pt[1:])[0] == rel.dT(pt[0], pt[1:])
 
 
 def test_monomial_count():

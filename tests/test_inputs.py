@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from nash_realize.inputs import (GeneralizedInput, InputAlphabet, concat,
-                                 diverse_word, reverse, sample_inputs)
+from nash_realize.errors import BlowUp, DomainExit, NewtonDiverged
+from nash_realize.inputs import (GeneralizedInput, InputAlphabet, admissible,
+                                 concat, diverse_word, reverse, sample_inputs)
 
 AL = InputAlphabet(("a0", "a1"), ((1.0,), (-1.0,)))
 
@@ -102,3 +103,95 @@ def test_diverse_word_adjacent_letters_differ():
         letters = [i for i, _ in u.word]
         for p, q in zip(letters, letters[1:]):
             assert p != q
+
+
+def counted(values, drawn):
+    """A lazy generator over values that records each value it hands out."""
+    for v in values:
+        drawn.append(v)
+        yield v
+
+
+def test_admissible_stops_drawing_at_want():
+    drawn = []
+    results, skipped = admissible(counted(range(100), drawn),
+                                  lambda v: 10 * v, 3)
+    assert results == [0, 10, 20]
+    assert skipped == 0
+    assert drawn == [0, 1, 2]
+
+
+def test_admissible_draws_each_candidate_just_before_evaluating_it():
+    log = []
+
+    def draws():
+        for v in range(5):
+            log.append(("draw", v))
+            yield v
+
+    def evaluate(v):
+        log.append(("eval", v))
+        return v
+
+    admissible(draws(), evaluate, 2)
+    assert log == [("draw", 0), ("eval", 0), ("draw", 1), ("eval", 1)]
+
+
+def test_admissible_counts_none_and_skip_exceptions_as_skipped():
+    def evaluate(v):
+        if v == 0:
+            raise DomainExit("left")
+        if v == 1:
+            raise BlowUp("blew up")
+        if v == 2:
+            return None
+        return v
+
+    drawn = []
+    results, skipped = admissible(counted(range(10), drawn), evaluate, 2)
+    assert results == [3, 4]
+    assert skipped == 3
+    assert drawn == [0, 1, 2, 3, 4]
+
+
+def test_admissible_custom_skip_replaces_the_default():
+    def evaluate(v):
+        if v < 2:
+            raise NewtonDiverged("no root")
+        return v
+
+    def leave(v):
+        raise DomainExit("left")
+
+    assert admissible(range(3), evaluate, 1,
+                      skip=(NewtonDiverged,)) == ([2], 2)
+    with pytest.raises(DomainExit):
+        admissible(range(3), leave, 1, skip=(NewtonDiverged,))
+
+
+def test_admissible_propagates_other_exceptions():
+    def evaluate(v):
+        if v == 1:
+            raise NewtonDiverged("not a skip")
+        return v
+
+    drawn = []
+    with pytest.raises(NewtonDiverged):
+        admissible(counted(range(5), drawn), evaluate, 3)
+    assert drawn == [0, 1]
+
+
+def test_admissible_respects_the_cap():
+    drawn = []
+
+    def evaluate(v):
+        raise DomainExit("every draw leaves the domain")
+
+    results, skipped = admissible(counted(range(7), drawn), evaluate, 2)
+    assert results == []
+    assert skipped == 7
+    assert drawn == list(range(7))
+    # want <= 0 takes no candidate at all
+    drawn = []
+    assert admissible(counted(range(7), drawn), lambda v: v, 0) == ([], 0)
+    assert drawn == []

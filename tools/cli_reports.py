@@ -3,19 +3,22 @@
     python3 tools/cli_reports.py DIR [--seed N] [--against OTHER_DIR]
 
 runs `simulate` with the fixed word SIMULATE_WORD, `analyze`,
-`reduce-reach`, `reduce-obs` and `minimize` on every catalog system, and
-`compare SYS-LIN1 SYS-CUBE`, with the package under this checkout's
-`src/`, each in its own process. Each report goes to
-DIR/<command>-<system>.json without its `elapsed_seconds` line, the one
-field that changes from run to run. Run it in two checkouts with the same
-seed; `diff -r DIR1 DIR2` then lists every report that differs.
+`reduce-reach`, `reduce-obs` and `minimize` on every catalog system,
+`compare SYS-LIN1 SYS-CUBE` and `acceptance` (A1-A8 in one process), with
+the package under this checkout's `src/`, each in its own process. Each
+report goes to DIR/<command>-<system>.json (DIR/acceptance.json) without
+its `elapsed_seconds` lines, the one field that changes from run to run.
+Run it in two checkouts with the same seed; `diff -r DIR1 DIR2` then
+lists every report that differs.
 
 With `--against OTHER_DIR`, the reports of another checkout written the
 same way, it then prints every JSON leaf that differs, as
 `report: path: old -> new` with OTHER_DIR's value first. A leaf whose
 key is one of the answers (`verdict`, `dimension`, `estimated_trdeg`,
 `passed`, `reachable`, `observable`) is flagged with `!`, and the exit
-code is 1 when any is, or when a report is missing on either side.
+code is 1 when any is, or when a report is missing on either side. An
+acceptance row's `passed` also reads its time limit, so a row that moves
+only by time is flagged too.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def catalog_names() -> list[str]:
 
 def report(args: list[str], seed: int) -> str:
     """The JSON report of `nash-realize ARGS --seed SEED`, without its
-    elapsed_seconds line."""
+    elapsed_seconds lines."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "nash_realize.cli", *args, "--seed",
@@ -111,6 +114,7 @@ def main(argv=None) -> int:
     runs += [(f"{cmd}-{name}", [cmd, name])
              for cmd in COMMANDS for name in names]
     runs.append(("-".join(("compare", *COMPARE)), ["compare", *COMPARE]))
+    runs.append(("acceptance", ["acceptance"]))
     for stem, run in runs:
         path = args.dir / f"{stem}.json"
         path.write_text(report(run, args.seed), encoding="utf-8")

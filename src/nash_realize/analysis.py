@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .errors import (DegenerateSamples, DomainExit, ExpressionBlowup,
                      IllConditioned, BlowUp)
-from .expr import ALL_REAL, NashExpr, lie_derivative
+from .expr import ALL_REAL, NashExpr, lie_derivative, stacked_evaluator
 from .inputs import (GeneralizedInput, InputAlphabet, admissible, concat,
                      diverse_word)
 from .system import Box, NashSystem, ResponseOracle, SystemOracle
@@ -297,13 +297,12 @@ def estimate_trdeg(generators: Sequence, sampler: Callable[[int], np.ndarray],
 
     best = None
     sv_evidence = []
+    grad_at = [g.grad if dgs is None else stacked_evaluator(dgs)
+               for g, dgs in zip(gens, grads)]
     for x in pts:
         jac = np.zeros((len(gens), nv))
-        for i, g in enumerate(gens):
-            if isinstance(g, NashExpr):
-                jac[i] = [dg.eval_point(x) for dg in grads[i]]
-            else:
-                jac[i] = np.asarray(g.grad(x), dtype=float)
+        for i, grad in enumerate(grad_at):
+            jac[i] = grad(x)
         if not np.all(np.isfinite(jac)):
             sv_evidence.append(())
             continue
@@ -587,23 +586,49 @@ class PolynomialRelation:
     def _exponent_matrix(self) -> np.ndarray:
         return np.array(self.exponents, dtype=float)
 
+    @cached_property
+    def _z_terms(self) -> tuple[int, tuple]:
+        """(degree in T, terms): per term, its power of T, its coefficient
+        and its z-factors, which name index j once per unit of z_j's
+        exponent."""
+        terms = tuple((e[0], c, tuple(j for j, ej in enumerate(e[1:])
+                                      for _ in range(ej)))
+                      for c, e in zip(self.coefficients, self.exponents))
+        return max(e[0] for e in self.exponents), terms
+
+    def _in_T(self, z) -> Callable[[float], tuple[float, float, float]]:
+        """T -> (Q, sum of |c| * |monomial|, dQ/dT) at (T, z), z a
+        sequence of floats.
+
+        The z-part of every term is a plain float product, summed by power
+        of T into the coefficients a of Q(., z) and s of the scale; each
+        call then runs Horner's rule on them.
+        """
+        top, terms = self._z_terms
+        a = [0.0] * (top + 1)
+        s = [0.0] * (top + 1)
+        for p, c, factors in terms:
+            m = c
+            for j in factors:
+                m *= z[j]
+            a[p] += m
+            s[p] += abs(m)
+
+        def at(T: float) -> tuple[float, float, float]:
+            t = abs(T)
+            value, scale, d_T = a[-1], s[-1], 0.0
+            for p in range(top - 1, -1, -1):
+                d_T = d_T * T + value
+                value = value * T + a[p]
+                scale = scale * t + s[p]
+            return value, scale, d_T
+
+        return at
+
     def newton_terms(self, T: float, z) -> tuple[float, float, float]:
-        """(Q, sum of |c| * |monomial|, dQ/dT) at (T, z), from one power
-        of every variable in every term."""
-        p = self._pts(T, z)
-        powers = p ** self._exponent_matrix
-        monos = powers.prod(axis=1).tolist()
-        # dQ/dT takes the T factor apart: e0 * T^(e0 - 1) * (the rest)
-        rests = powers[:, 1:].prod(axis=1).tolist()
-        value = d_T = 0.0
-        scale = 0
-        for c, e, m, rest in zip(self.coefficients, self.exponents, monos,
-                                 rests):
-            value += c * m
-            scale += abs(c) * abs(m)
-            if e[0]:
-                d_T += c * (e[0] * p[0] ** (e[0] - 1) * rest)
-        return value, float(scale), d_T
+        """(Q, sum of |c| * |monomial|, dQ/dT) at (T, z), by Horner's rule
+        on the polynomial in T at z."""
+        return self._in_T(np.asarray(z, dtype=float).tolist())(T)
 
     def value(self, T: float, z) -> float:
         return self.newton_terms(T, z)[0]
@@ -612,17 +637,11 @@ class PolynomialRelation:
         return self.newton_terms(T, z)[2]
 
     def gradient(self, T: float, z) -> tuple[float, np.ndarray]:
-        """(dQ/dT, dQ/dz) at (T, z), from one power of every variable in
-        every term; dQ/dT is summed as newton_terms sums it, so it equals
+        """(dQ/dT, dQ/dz) at (T, z); dQ/dT is newton_terms', so it equals
         dT bit for bit."""
         p = self._pts(T, z)
         e = self._exponent_matrix
         powers = p ** e
-        rests = powers[:, 1:].prod(axis=1).tolist()
-        d_T = 0.0
-        for c, ex, rest in zip(self.coefficients, self.exponents, rests):
-            if ex[0]:
-                d_T += c * (ex[0] * p[0] ** (ex[0] - 1) * rest)
         # the factor of z_j in d/dz_j: e * z_j^(e - 1), and exactly 0 where
         # e = 0 (no z_j^-1 is formed)
         factors = e[:, 1:] * p[1:] ** np.maximum(e[:, 1:] - 1.0, 0.0)
@@ -630,7 +649,8 @@ class PolynomialRelation:
         # per z_j, every term's powers with column 1 + j replaced
         stack = np.broadcast_to(powers, (d,) + powers.shape).copy()
         stack[np.arange(d), :, np.arange(1, d + 1)] = factors.T
-        return d_T, stack.prod(axis=2) @ np.asarray(self.coefficients)
+        return (self.dT(T, z),
+                stack.prod(axis=2) @ np.asarray(self.coefficients))
 
     def mono_scale(self, T: float, z) -> float:
         return self.newton_terms(T, z)[1]

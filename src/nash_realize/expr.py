@@ -271,41 +271,11 @@ class NashExpr:
         return " + ".join(parts)
 
 
-def stacked_evaluator(exprs: Sequence[NashExpr]):
-    """x -> np.array([e.eval_point(x) for e in exprs]), bit for bit.
-
-    Every term of every expression goes into one exponent matrix, so one
-    power-product gives all monomials; each expression then takes the dot
-    product over its own slice of them, the same sum eval_point computes.
-    """
-    parts = []      # (coefficients, slice of the stacked monomials)
-    stop = 0
-    for e in exprs:
-        coeffs = e._float_arrays[0]
-        parts.append((coeffs, slice(stop, stop + coeffs.size)))
-        stop += coeffs.size
-    exps = np.vstack([e._float_arrays[1] for e in exprs])
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            monos = np.power(x[None, :], exps).prod(axis=1)
-        return np.array([c.dot(monos[s]) if c.size else 0.0
-                         for c, s in parts])
-
-    return evaluate
-
-
-def tangent_evaluator(exprs: Sequence[NashExpr]):
-    """x -> (values of exprs, their Jacobian, len(exprs) x nvars).
-
-    The distinct monomials of exprs and of all their partial derivatives
-    go into one exponent matrix, so one power-product gives them all; one
-    matrix product with the coefficients then gives every value and
-    partial derivative. Its sums run in the matrix product's order, so a
-    value may differ from eval_point's in the last bits.
-    """
-    nvars = exprs[0].nvars
-    rows = list(exprs) + [e.diff(j) for e in exprs for j in range(nvars)]
+def _compile(rows: Sequence[NashExpr]) -> tuple[np.ndarray, np.ndarray]:
+    """(E, C): the distinct monomials of rows as an exponent matrix E,
+    monomials x nvars, and the coefficient matrix C, rows x monomials, so
+    that the values of rows at x are C @ prod(x ** E)."""
+    nvars = rows[0].nvars
     columns: dict = {}      # exponent vector -> monomial index
     entries = [(i, columns.setdefault(exps, len(columns)), float(c))
                for i, e in enumerate(rows) for c, exps in e.terms]
@@ -314,12 +284,72 @@ def tangent_evaluator(exprs: Sequence[NashExpr]):
     coeffs = np.zeros((len(rows), len(columns)))
     for i, k, c in entries:
         coeffs[i, k] = c
+    return exps, coeffs
+
+
+def _affine(exps: np.ndarray, coeffs: np.ndarray):
+    """(A, b) with C @ prod(x ** E) = A @ x + b when every monomial is 1
+    or a single variable, else None. A is read-only."""
+    ones = exps == 1.0
+    if not np.all(ones | (exps == 0.0)) or np.any(ones.sum(axis=1) > 1):
+        return None
+    # column j of ones.T marks the monomial x_j; C @ ones is then A
+    a = coeffs @ ones.astype(float)
+    b = coeffs[:, ~ones.any(axis=1)].sum(axis=1)
+    a.flags.writeable = False
+    return a, b
+
+
+def stacked_evaluator(exprs: Sequence[NashExpr]):
+    """x -> np.array([e.eval_point(x) for e in exprs]), up to rounding.
+
+    The expressions compile once into their distinct monomials E and a
+    coefficient matrix C. Affine expressions (every monomial 1 or a single
+    variable) evaluate as A @ x + b; all others as C @ prod(x ** E), one
+    power-product for all monomials. Sums run in the matrix product's
+    order, so a value may differ from eval_point's in the last bits.
+    Floating-point warnings are not silenced here: flows run under the
+    errstate of integrate_segments.
+    """
+    exps, coeffs = _compile(exprs)
+    affine = _affine(exps, coeffs)
+    if affine is not None:
+        a, b = affine
+
+        def evaluate(x: np.ndarray) -> np.ndarray:
+            return a.dot(x) + b
+    else:
+        def evaluate(x: np.ndarray) -> np.ndarray:
+            return coeffs.dot(np.power(x, exps).prod(axis=1))
+
+    return evaluate
+
+
+def tangent_evaluator(exprs: Sequence[NashExpr]):
+    """x -> (values of exprs, their Jacobian, len(exprs) x nvars).
+
+    Compiled as stacked_evaluator compiles. For affine expressions the
+    Jacobian is the constant, read-only A of A @ x + b. Otherwise the
+    distinct monomials of exprs and of all their partial derivatives go
+    into one exponent matrix, so one power-product gives them all, and
+    one matrix product with the coefficients gives every value and
+    partial derivative. Values agree with eval_point up to rounding.
+    """
+    nvars = exprs[0].nvars
     m = len(exprs)
+    affine = _affine(*_compile(exprs))
+    if affine is not None:
+        a, b = affine
+
+        def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return a.dot(x) + b, a
+
+        return evaluate
+    exps, coeffs = _compile(
+        list(exprs) + [e.diff(j) for e in exprs for j in range(nvars)])
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            monos = np.power(x[None, :], exps).prod(axis=1)
-        out = coeffs @ monos
+        out = coeffs.dot(np.power(x, exps).prod(axis=1))
         return out[:m], out[m:].reshape(m, nvars)
 
     return evaluate

@@ -64,11 +64,19 @@ class ImplicitMap:
             self.base_q = self.solve(self.base_z, q0=float(base_q))
 
     def solve(self, z, q0: Optional[float] = None) -> float:
-        rel = self.relation
-        z = np.asarray(z, dtype=float)
+        """G(z) by Newton's method from q0 (default: the base value).
+
+        The z-part of every term is computed once, which leaves Q(., z)
+        as a polynomial in T; each iterate evaluates it, its monomial
+        scale and dQ/dT by Horner's rule. An iterate is accepted when
+        |Q| <= newton_tol * max(1, scale). Raises DerivativeVanished when
+        |dQ/dT| falls below derivative_floor, NewtonDiverged on a
+        nonfinite value or iterate or after max_iter steps.
+        """
+        at = self.relation._in_T(np.asarray(z, dtype=float).tolist())
         q = self.base_q if q0 is None else float(q0)
         for _ in range(self.max_iter):
-            val, scale, d = rel.newton_terms(q, z)
+            val, scale, d = at(q)
             if not math.isfinite(val):
                 raise NewtonDiverged("nonfinite relation value")
             if abs(val) <= self.newton_tol * max(1.0, scale):
@@ -730,12 +738,9 @@ class _ObsContext:
             return self.generators
         out = []
         for g in self.generators:
-            grads = g.gradient()
-
-            def grad(z, grads=grads):
+            def grad(z, kernel=stacked_evaluator(g.gradient())):
                 x = red.lift(z)
-                gx = np.array([dg.eval_point(x) for dg in grads])
-                return red.lift_jacobian(z, x).T @ gx
+                return red.lift_jacobian(z, x).T @ kernel(x)
 
             out.append(FuncGenerator(grad, label=str(g)))
         return out
@@ -796,16 +801,19 @@ def observability_reduce(sys_like, oracle: ResponseOracle, epsilon: float,
                   f"degree {opts.degree_bound}", {"output": j})
                  for j in range(len(readout))]
 
+    phi_at, targets_at = stacked_evaluator(phi), stacked_evaluator(exprs)
+
     def sample_targets(S):
         X = np.array([ctx.lift(z) for z in ctx.sampler(rng)(S)])
-        PHI = np.column_stack([[g.eval_point(x) for x in X] for g in phi])
-        return [(np.array([e.eval_point(x) for x in X]), PHI, msg, report)
-                for e, (msg, report) in zip(exprs, failures)]
+        PHI = np.array([phi_at(x) for x in X])
+        targets = np.array([targets_at(x) for x in X])
+        return [(targets[:, k], PHI, msg, report)
+                for k, (msg, report) in enumerate(failures)]
 
     def at_shift(u):
         x = ctx.lift(sys_like.terminal_state(sys_like.x0, u, opts.flow_tol))
-        z = np.array([g.eval_point(x) for g in phi])
-        return z, [(e.eval_point(x), z) for e in exprs]
+        z = phi_at(x)
+        return z, [(float(v), z) for v in targets_at(x)]
 
     shift, zbar, maps, radius = _build_chart(sys_like, d, sample_targets,
                                              at_shift, epsilon, opts, rng)

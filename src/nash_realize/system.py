@@ -280,44 +280,47 @@ def integrate_segments(rhs_for_letter, box: Box, x, word, tol):
     Crossings are seen at accepted steps, so an excursion that leaves and
     re-enters within one step goes unseen. Raises BlowUp on integrator
     failure with the trajectory still inside, and on a nonfinite end
-    state.
+    state. Overflow and nan in the field kernels and scipy's stage sums
+    are silenced for the whole call: they surface as these errors.
     """
-    x = np.asarray(x, dtype=float)
-    if not box.contains(x):
-        raise DomainExit("initial state outside the domain")
-    breakpoints = [0.0]
-    states = [tuple(x)]
-    t_abs = 0.0
-    for letter, dur in word:
-        if dur != 0.0:
-            fun = rhs_for_letter(letter)
-            sol = _integrate(fun, x, dur, tol, events=box.exit_event)
-            if sol.status == 1:
-                raise DomainExit("trajectory left the domain")
-            if not sol.success:
-                # classify the failure: an Euler step over the remaining
-                # duration that lands finite-but-outside means the
-                # trajectory runs into the domain boundary, not a blowup
-                # (fractional fields fail on nan stages before an
-                # accepted step crosses x = 0)
-                reached = sol.t[-1] if sol.t.size else 0.0
-                x_end = sol.y[:, -1] if sol.y.size else x
-                try:
-                    y_pred = x_end + (dur - reached) * np.asarray(
-                        fun(0.0, x_end))
-                except Exception:
-                    y_pred = None
-                if y_pred is not None and np.all(np.isfinite(y_pred)) \
-                        and not box.contains(y_pred):
-                    raise DomainExit("trajectory reaches the domain boundary")
-                raise BlowUp(f"integration failed: {sol.message}")
-            x = sol.y[:, -1].copy()
-            if not np.all(np.isfinite(x)):
-                raise BlowUp("nonfinite state")
-            t_abs += dur
-        breakpoints.append(t_abs)
-        states.append(tuple(x))
-    return Trajectory(tuple(breakpoints), tuple(states), x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.asarray(x, dtype=float)
+        if not box.contains(x):
+            raise DomainExit("initial state outside the domain")
+        breakpoints = [0.0]
+        states = [tuple(x)]
+        t_abs = 0.0
+        for letter, dur in word:
+            if dur != 0.0:
+                fun = rhs_for_letter(letter)
+                sol = _integrate(fun, x, dur, tol, events=box.exit_event)
+                if sol.status == 1:
+                    raise DomainExit("trajectory left the domain")
+                if not sol.success:
+                    # classify the failure: an Euler step over the
+                    # remaining duration that lands finite-but-outside
+                    # means the trajectory runs into the domain boundary,
+                    # not a blowup (fractional fields fail on nan stages
+                    # before an accepted step crosses x = 0)
+                    reached = sol.t[-1] if sol.t.size else 0.0
+                    x_end = sol.y[:, -1] if sol.y.size else x
+                    try:
+                        y_pred = x_end + (dur - reached) * np.asarray(
+                            fun(0.0, x_end))
+                    except Exception:
+                        y_pred = None
+                    if y_pred is not None and np.all(np.isfinite(y_pred)) \
+                            and not box.contains(y_pred):
+                        raise DomainExit(
+                            "trajectory reaches the domain boundary")
+                    raise BlowUp(f"integration failed: {sol.message}")
+                x = sol.y[:, -1].copy()
+                if not np.all(np.isfinite(x)):
+                    raise BlowUp("nonfinite state")
+                t_abs += dur
+            breakpoints.append(t_abs)
+            states.append(tuple(x))
+        return Trajectory(tuple(breakpoints), tuple(states), x)
 
 
 def _variational_rhs(tangent, n: int):

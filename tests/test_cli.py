@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -235,3 +236,24 @@ def test_thread_pools_pinned_to_one_by_default():
 
 def test_thread_pools_follow_nash_realize_threads():
     assert pool_sizes_after_import("3") == ["3"] * len(POOL_VARS)
+
+
+def test_cli_reports_against_sums_up_moved_leaves(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "cli_reports", Path(__file__).resolve().parents[1] / "tools"
+        / "cli_reports.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old, new = tmp_path / "old", tmp_path / "new"
+    # floats are numeric; an index, a label and an int/float swap are not
+    for d, rep in ((old, {"a": 1.0, "b": [2.0, 0], "c": 1e-3,
+                          "basis_indices": [0], "labels": ["x1"]}),
+                   (new, {"a": 1.5, "b": [2.0, 0.0], "c": 1.001e-3,
+                          "basis_indices": [1], "labels": ["x2"]})):
+        d.mkdir()
+        (d / "analyze-S.json").write_text(json.dumps(rep), encoding="utf-8")
+    assert tool.compare_dirs(old, new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines[-1] == ("5 leaves moved: 2 numeric (largest relative "
+                         "change 0.33, analyze-S.json: a), 3 not numeric")

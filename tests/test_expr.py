@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from nash_realize.errors import (ArityMismatch, DomainViolation,
                                  ExactnessUnavailable)
 from nash_realize.expr import (ALL_REAL, EXACT, POSITIVE_ORTHANT, NashExpr,
-                               lie_derivative, stacked_evaluator)
+                               lie_derivative, stacked_evaluator,
+                               tangent_evaluator)
 
 
 def x(i, n, flag=ALL_REAL):
@@ -217,7 +218,7 @@ def test_mul_by_rational():
     assert (x(0, 1).scale(0)).is_zero
 
 
-def test_stacked_evaluator_matches_eval_point_bit_for_bit():
+def test_stacked_evaluator_matches_exact_sum(assert_matches_exact_sum):
     P = POSITIVE_ORTHANT
     h, t = Fraction(1, 2), Fraction(1, 3)
     fractional = (
@@ -232,6 +233,36 @@ def test_stacked_evaluator_matches_eval_point_bit_for_bit():
         evaluate = stacked_evaluator(field)
         n = field[0].nvars
         for _ in range(200):
-            pt = np.exp(2.0 * rng.normal(size=n))
-            want = np.array([e.eval_point(pt) for e in field])
-            assert evaluate(pt).tobytes() == want.tobytes()
+            assert_matches_exact_sum(evaluate, field,
+                                     np.exp(2.0 * rng.normal(size=n)))
+
+
+def test_affine_fields_are_one_matrix_product(assert_matches_exact_sum):
+    # random affine fields up to n = 8: the Jacobian is the constant,
+    # read-only matrix of the exact coefficients, and the values match
+    # the exact sums
+    rng = np.random.default_rng(2)
+    for n in range(1, 9):
+        for _ in range(5):
+            field = []
+            for _ in range(n):
+                e = NashExpr.constant(Fraction(int(rng.integers(-9, 10)),
+                                               int(rng.integers(1, 8))), n)
+                for j in np.flatnonzero(rng.uniform(size=n) < 0.6):
+                    c = Fraction(int(rng.integers(-20, 21)),
+                                 int(rng.integers(1, 12)))
+                    e = e + NashExpr.variable(int(j), n).scale(c)
+                field.append(e)
+            evaluate = stacked_evaluator(field)
+            tangent = tangent_evaluator(field)
+            pts = [np.exp(rng.normal(size=n)) * rng.choice([-1, 1], size=n)
+                   for _ in range(20)]
+            a = tangent(pts[0])[1]
+            assert not a.flags.writeable
+            want = np.array([[float(e.diff(j).eval(np.zeros(n), EXACT))
+                              for j in range(n)] for e in field])
+            assert a.tolist() == want.tolist()
+            for pt in pts:
+                assert tangent(pt)[1] is a
+                assert_matches_exact_sum(evaluate, field, pt)
+                assert evaluate(pt).tolist() == tangent(pt)[0].tolist()

@@ -74,6 +74,117 @@ def test_implicit_solve_no_real_root():
         m.solve([-1.0])
 
 
+def reference_newton_terms(rel, T, z):
+    """(Q, sum of |c| * |monomial|, dQ/dT) at (T, z) from the powers of
+    every variable in every term, summed term by term."""
+    p = np.concatenate([[float(T)], np.asarray(z, dtype=float)])
+    powers = p ** np.array(rel.exponents, dtype=float)
+    monos = powers.prod(axis=1).tolist()
+    rests = powers[:, 1:].prod(axis=1).tolist()
+    value = d_T = scale = 0.0
+    for c, e, m, rest in zip(rel.coefficients, rel.exponents, monos, rests):
+        value += c * m
+        scale += abs(c) * abs(m)
+        if e[0]:
+            d_T += c * (e[0] * p[0] ** (e[0] - 1) * rest)
+    return value, scale, d_T
+
+
+def reference_solve(m, z, q0):
+    """Newton's method on reference_newton_terms, with solve's tests."""
+    q = q0
+    for _ in range(m.max_iter):
+        val, scale, d = reference_newton_terms(m.relation, q, z)
+        if not math.isfinite(val):
+            raise NewtonDiverged("nonfinite relation value")
+        if abs(val) <= m.newton_tol * max(1.0, scale):
+            return q
+        if abs(d) < m.derivative_floor:
+            raise DerivativeVanished("below floor")
+        q = q - val / d
+        if not math.isfinite(q):
+            raise NewtonDiverged("Newton iterate diverged")
+    raise NewtonDiverged("no convergence")
+
+
+def random_relation(rng):
+    """degree_T 1-3 over 1-3 basis variables, z-exponents up to 2, or one
+    of the three shapes chart flows solve most: T - z, -T + z^3 among
+    seven terms with zero coefficients, T^3 - z among ten."""
+    shape = int(rng.integers(0, 6))
+    if shape == 0:
+        exps, coeffs = ((0, 1), (1, 0)), (-1.0, 1.0)
+    elif shape == 1:
+        exps = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3), (1, 2))
+        coeffs = (0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0)
+    elif shape == 2:
+        exps = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3),
+                (1, 2), (2, 1), (3, 0))
+        coeffs = (0.0, -1.0) + (0.0,) * 7 + (1.0,)
+    else:
+        deg, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        exps = {(deg,) + tuple(int(v) for v in rng.integers(0, 3, size=d))}
+        for _ in range(int(rng.integers(1, 7))):
+            exps.add((int(rng.integers(0, deg + 1)),)
+                     + tuple(int(v) for v in rng.integers(0, 3, size=d)))
+        exps = tuple(sorted(exps))
+        coeffs = tuple(float(c) for c in rng.normal(size=len(exps)))
+    if shape < 3:
+        coeffs = tuple(c * rng.uniform(0.5, 2.0) for c in coeffs)
+    degree_T = max(e[0] for e in exps)
+    return PolynomialRelation(exps, coeffs, max(map(sum, exps)), degree_T,
+                              0.0)
+
+
+def test_solve_matches_reference_newton():
+    rng = np.random.default_rng(3)
+    converged = raised = 0
+    for _ in range(6_000):
+        rel = random_relation(rng)
+        d = len(rel.exponents[0]) - 1
+        z = rng.choice([-1.0, 1.0], size=d) * rng.uniform(0.3, 2.0, size=d)
+        m = ImplicitMap(rel, z, 0.0, polish=False)
+        # start near a real root of Q(., z) where there is one
+        roots = np.roots([sum(c * np.prod(z ** np.array(e[1:]))
+                              for c, e in zip(rel.coefficients,
+                                              rel.exponents) if e[0] == p)
+                          for p in range(rel.degree_T, -1, -1)])
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        q0 = float(real[0] + rng.normal(scale=0.1)) if real.size \
+            and rng.uniform() < 0.8 else float(rng.normal())
+        try:
+            want = reference_solve(m, z, q0)
+        except (NewtonDiverged, DerivativeVanished) as exc:
+            with pytest.raises((NewtonDiverged, DerivativeVanished)) as got:
+                m.solve(z, q0=q0)
+            assert got.type is type(exc)
+            raised += 1
+            continue
+        got = m.solve(z, q0=q0)
+        val, scale, _ = reference_newton_terms(rel, got, z)
+        assert abs(val) <= m.newton_tol * max(1.0, scale)
+        # relative where |T| > 1; near a root at 0 both may stop at
+        # different iterates within tolerance
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        converged += 1
+    assert converged > 3_000 and raised > 300
+
+
+def test_solve_raises_derivative_vanished():
+    # Q = T^2 - z from T = 0: dQ/dT = 0 with Q = -1
+    m = ImplicitMap(rel_sqrt(), [1.0], 1.0, polish=False)
+    with pytest.raises(DerivativeVanished):
+        m.solve([1.0], q0=0.0)
+
+
+def test_solve_raises_newton_diverged():
+    # Q = T^2 + 1 has no real root: Newton's iterates wander for max_iter
+    # steps without |dQ/dT| reaching the floor at any of them
+    m = ImplicitMap(rel_sqrt(), [-1.0], 0.5, polish=False, max_iter=20)
+    with pytest.raises(NewtonDiverged):
+        m.solve([-1.0], q0=0.5)
+
+
 def chart_samples(S, *columns):
     """Chart targets over one basis coordinate z in [0.5, 2]: one per
     function of z given."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -113,6 +114,32 @@ def test_blowup_detected():
                      (NashExpr.variable(0, 1),), (1.0,))
     with pytest.raises(BlowUp):
         flow(sys, sys.x0, word(sys, ("a0", 2.0)), TOL)
+
+
+@pytest.mark.parametrize("upper, raised", [
+    (math.inf, BlowUp), (1e300, DomainExit)])
+@pytest.mark.parametrize("pairs", [
+    (("a0", 1.0),), (("a0", 0.5), ("a0", 1.0)), (("a1", -1.0),)])
+def test_overflowing_flow_warns_nothing(upper, raised, pairs):
+    # x' = (800 x1, x2 + 1) overflows within t = 1: on R^2 the integrator
+    # fails (BlowUp), under a face at x1 = 1e300 the exit event stops it
+    # first (DomainExit); neither the plain nor the variational flow
+    # emits a RuntimeWarning on the way
+    x1, x2 = NashExpr.variable(0, 2), NashExpr.variable(1, 2)
+    one = NashExpr.constant(1, 2)
+    box = Box((-math.inf, -math.inf), (upper, math.inf), (False, False))
+    sys = NashSystem(box, LIN1.alphabet,
+                     ((x1.scale(800), x2 + one), (x1.scale(-800), -x2 - one)),
+                     (x1 + x2,), (1.0, 1.0))
+    u = word(sys, *pairs)
+    empty = GeneralizedInput.empty(sys.alphabet)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(raised):
+            flow(sys, sys.x0, u, TOL)
+        with pytest.raises(raised):
+            list(sys.duration_sensitivities(sys.x0, u, [empty], TOL))
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_alphabet_mismatch():
@@ -318,7 +345,7 @@ def test_rotation_inside_the_box_flows():
                                                                   abs=1e-8)
 
 
-def test_stacked_fields_match_eval_point_on_catalog():
+def test_stacked_fields_match_exact_sum_on_catalog(assert_matches_exact_sum):
     rng = np.random.default_rng(0)
     for name in catalog.names():
         sys = catalog.load(name)
@@ -326,11 +353,11 @@ def test_stacked_fields_match_eval_point_on_catalog():
         for _ in range(50):
             x = x0 * np.exp(rng.normal(size=sys.n))
             for li, field in enumerate(sys.fields):
-                want = np.array([e.eval_point(x) for e in field])
-                assert sys.rhs(li)(0.0, x).tobytes() == want.tobytes(), name
-                assert sys.field_values(x, li).tobytes() == want.tobytes()
-            want = np.array([h.eval_point(x) for h in sys.readout])
-            assert sys.readout_values(x).tobytes() == want.tobytes(), name
+                assert_matches_exact_sum(lambda p: sys.rhs(li)(0.0, p),
+                                         field, x)
+                assert_matches_exact_sum(lambda p: sys.field_values(p, li),
+                                         field, x)
+            assert_matches_exact_sum(sys.readout_values, sys.readout, x)
 
 
 def test_tangent_kernels_match_eval_point_on_catalog():

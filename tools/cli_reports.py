@@ -18,13 +18,17 @@ key is one of the answers (`verdict`, `dimension`, `estimated_trdeg`,
 `passed`, `reachable`, `observable`) is flagged with `!`, and the exit
 code is 1 when any is, or when a report is missing on either side. An
 acceptance row's `passed` also reads its time limit, so a row that moves
-only by time is flagged too.
+only by time is flagged too. A last line sums the moved leaves up: how
+many, how many of them are floats with the largest relative change
+among those and its path, and how many are not (answers, labels,
+indices and counts).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,10 +81,35 @@ def leaf_diffs(old, new, path="", key=None):
         yield path, old, new, key
 
 
+def _relative_change(a: float, b: float) -> float:
+    """|b - a| / max(|a|, |b|); inf where that is not a number (a nan or
+    infinite leaf)."""
+    change = abs(b - a) / max(abs(a), abs(b))
+    return math.inf if math.isnan(change) else change
+
+
+def summary(moved: list[tuple[str, str, object, object]]) -> str:
+    """One line over the moved leaves (report, path, old, new): how many,
+    how many numeric with the largest relative change |new - old| /
+    max(|old|, |new|) and where, and how many not numeric. Numeric means
+    a float on both sides; an integer leaf is an index or a count, whose
+    relative change means nothing, so it counts as not numeric."""
+    numeric = [(_relative_change(a, b), f"{name}: {path}")
+               for name, path, a, b in moved
+               if isinstance(a, float) and isinstance(b, float)]
+    line = f"{len(moved)} leaves moved: {len(numeric)} numeric"
+    if numeric:
+        change, where = max(numeric)
+        line += f" (largest relative change {change:.2g}, {where})"
+    return line + f", {len(moved) - len(numeric)} not numeric"
+
+
 def compare_dirs(old_dir: Path, new_dir: Path) -> int:
-    """Print the leaves that move from old_dir's reports to new_dir's;
-    1 if an answer moves or a report is missing, else 0."""
+    """Print the leaves that move from old_dir's reports to new_dir's,
+    then summary() of them; 1 if an answer moves or a report is missing,
+    else 0."""
     status = 0
+    moved = []
     names = sorted({p.name for p in old_dir.glob("*.json")}
                    | {p.name for p in new_dir.glob("*.json")})
     for name in names:
@@ -96,6 +125,8 @@ def compare_dirs(old_dir: Path, new_dir: Path) -> int:
             status = 1 if flag == "!" else status
             print(f"{flag} {name}: {path}: {json.dumps(a)} -> "
                   f"{json.dumps(b)}")
+            moved.append((name, path, a, b))
+    print(summary(moved))
     return status
 
 
